@@ -12,10 +12,14 @@
 #ifndef AMNESIAC_BENCH_COMMON_H
 #define AMNESIAC_BENCH_COMMON_H
 
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,21 +86,124 @@ enableHostProfiling(const BenchArgs &args)
 }
 
 /**
- * Parse the harness-wide flags shared by every bench binary:
+ * Cursor over argv shared by every flag parser (parseArgs below,
+ * amnesiac-run, amnesiac-trace): splits `--flag=value`, fetches values,
+ * and parses numbers strictly — the whole string, within range. A
+ * missing, malformed or out-of-range value prints what was wrong, then
+ * the parser's usage, and exits 2.
+ */
+class ArgReader
+{
+  public:
+    /** Prints the parser's usage line and exits 2. */
+    using Usage = void (*)(const char *argv0);
+
+    ArgReader(int argc, char **argv, Usage usage)
+        : _argc(argc), _argv(argv), _usage(usage)
+    {
+    }
+
+    /** Step to the next argument; false once argv is exhausted. */
+    bool
+    next()
+    {
+        if (++_i >= _argc)
+            return false;
+        _arg = _argv[_i];
+        _inline.reset();
+        if (_arg.size() >= 2 && _arg[0] == '-') {
+            if (auto eq = _arg.find('='); eq != std::string::npos) {
+                _inline = _arg.substr(eq + 1);
+                _arg.resize(eq);
+            }
+        }
+        return true;
+    }
+
+    /** The current argument, without any `=value` suffix. */
+    const std::string &arg() const { return _arg; }
+
+    /** The current flag's value: its `=value` suffix or the next
+     * argument. */
+    std::string
+    value()
+    {
+        if (_inline)
+            return *_inline;
+        if (_i + 1 >= _argc)
+            fail("missing value for " + _arg);
+        return _argv[++_i];
+    }
+
+    /** value() as a decimal integer in [lo, hi]. */
+    std::uint64_t
+    integer(std::uint64_t lo, std::uint64_t hi)
+    {
+        const std::string text = value();
+        const char *end = text.data() + text.size();
+        std::uint64_t v = 0;
+        auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc() || ptr != end || v < lo || v > hi)
+            fail("bad value '" + text + "' for " + _arg +
+                 " (want an integer in [" + std::to_string(lo) + ", " +
+                 std::to_string(hi) + "])");
+        return v;
+    }
+
+    /** value() as a finite number > 0. */
+    double
+    positive()
+    {
+        const std::string text = value();
+        const char *end = text.data() + text.size();
+        double v = 0.0;
+        auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+            v <= 0.0)
+            fail("bad value '" + text + "' for " + _arg +
+                 " (want a finite number > 0)");
+        return v;
+    }
+
+    /** Report a command-line error and exit 2 through the usage. */
+    [[noreturn]] void
+    fail(const std::string &why)
+    {
+        std::fprintf(stderr, "%s: %s\n", _argv[0], why.c_str());
+        _usage(_argv[0]);
+        std::exit(2);
+    }
+
+  private:
+    int _argc;
+    char **_argv;
+    Usage _usage;
+    int _i = 0;
+    std::string _arg;
+    std::optional<std::string> _inline;
+};
+
+/** Upper bound of --jobs: each worker is an OS thread. */
+inline constexpr std::uint64_t kMaxJobs = 256;
+
+/** Upper bound of the tools' --hist/--sfile: the SFile reserves its
+ * capacity up front, and real structures hold hundreds of entries. */
+inline constexpr std::uint64_t kMaxCapacity = 1u << 20;
+
+/**
+ * Apply the current argument if it is one of the flags every harness
+ * and amnesiac-run share; false if it is not one of them:
  *
  *   --jobs <n>          worker threads for the experiment pipeline
- *                       (0 = hardware_concurrency, 1 = serial; default 0)
- *   --profile-jobs <n>  windows for the dependence-profiling pass
- *                       (1 = classic serial profiler, 0 = hardware
- *                       concurrency, K > 1 fixed; byte-identical
- *                       output for every value — default 1)
+ *                       (0 = hardware_concurrency, 1 = serial; default
+ *                       0; at most kMaxJobs)
  *   --cache-dir <path>  content-addressed artifact cache for compiled
  *                       binaries (default: $AMNESIAC_CACHE_DIR if set,
  *                       else disabled)
  *   --no-cache          disable the artifact cache even if a directory
  *                       is configured
  *   --seed <n>          workload seed (default 1)
- *   --scale <x>         non-memory EPI scale, the §5.5 R knob
+ *   --scale <x>         non-memory EPI scale, the §5.5 R knob (> 0)
  *   --timing <b>        cycle-accounting backend: scalar | pipelined
  *                       (default scalar, the historical golden model)
  *   --predictor <p>     branch predictor for the pipelined backend:
@@ -112,96 +219,60 @@ enableHostProfiling(const BenchArgs &args)
  *                       (implies --prof)
  *   --prof-report <path> write the flame table there instead of
  *                       stderr (implies --prof)
- *
- * Both `--flag value` and `--flag=value` spellings are accepted.
- * Unknown flags abort with a usage message so typos never silently run
- * the default experiment.
  */
-inline BenchArgs
-parseArgs(int argc, char **argv)
+inline bool
+parseSharedFlag(ArgReader &r, BenchArgs &args)
 {
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string value;
-        bool has_value = false;
-        if (auto eq = arg.find('='); eq != std::string::npos) {
-            value = arg.substr(eq + 1);
-            arg.resize(eq);
-            has_value = true;
-        }
-        auto next = [&]() -> std::string {
-            if (has_value)
-                return value;
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--jobs") {
-            args.config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--profile-jobs") {
-            args.config.compiler.profileJobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--cache-dir") {
-            args.config.cacheDir = next();
-        } else if (arg == "--no-cache") {
-            args.config.noCache = true;
-        } else if (arg == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--scale") {
-            args.config.energy.nonMemScale =
-                std::strtod(next().c_str(), nullptr);
-        } else if (arg == "--timing") {
-            std::string name = next();
-            if (!parseTimingBackend(name, args.config.timing.backend)) {
-                std::fprintf(stderr,
-                             "%s: unknown timing backend '%s' "
-                             "(scalar | pipelined)\n",
-                             argv[0], name.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!parsePredictorKind(name, args.config.timing.predictor)) {
-                std::fprintf(stderr,
-                             "%s: unknown predictor '%s' "
-                             "(nottaken | bimodal | gshare)\n",
-                             argv[0], name.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--trace") {
-            args.tracePath = next();
-        } else if (arg == "--site-report") {
-            args.siteReportPath = next();
-        } else if (arg == "--metrics") {
-            args.metricsPath = next();
-        } else if (arg == "--max-records") {
-            args.config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--prof") {
-            args.prof = true;
-        } else if (arg == "--prof-out") {
-            args.profOutPath = next();
-        } else if (arg == "--prof-report") {
-            args.profReportPath = next();
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--jobs <n>] [--profile-jobs <n>] "
-                         "[--cache-dir <path>] [--no-cache] [--seed <n>] "
-                         "[--scale <x>] [--timing <scalar|pipelined>] "
-                         "[--predictor <nottaken|bimodal|gshare>] "
-                         "[--trace <path>] "
-                         "[--site-report <path>] [--metrics <path>] "
-                         "[--max-records <n>] [--prof] [--prof-out <path>] "
-                         "[--prof-report <path>]\n",
-                         argv[0]);
-            std::exit(2);
-        }
+    const std::string &arg = r.arg();
+    if (arg == "--jobs") {
+        args.config.jobs = static_cast<unsigned>(r.integer(0, kMaxJobs));
+    } else if (arg == "--cache-dir") {
+        args.config.cacheDir = r.value();
+    } else if (arg == "--no-cache") {
+        args.config.noCache = true;
+    } else if (arg == "--seed") {
+        args.seed = r.integer(0, UINT64_MAX);
+    } else if (arg == "--scale") {
+        args.config.energy.nonMemScale = r.positive();
+    } else if (arg == "--timing") {
+        const std::string name = r.value();
+        if (!parseTimingBackend(name, args.config.timing.backend))
+            r.fail("unknown timing backend '" + name +
+                   "' (scalar | pipelined)");
+    } else if (arg == "--predictor") {
+        const std::string name = r.value();
+        if (!parsePredictorKind(name, args.config.timing.predictor))
+            r.fail("unknown predictor '" + name +
+                   "' (nottaken | bimodal | gshare)");
+    } else if (arg == "--trace") {
+        args.tracePath = r.value();
+    } else if (arg == "--site-report") {
+        args.siteReportPath = r.value();
+    } else if (arg == "--metrics") {
+        args.metricsPath = r.value();
+    } else if (arg == "--max-records") {
+        args.config.traceMaxRecords = r.integer(0, SIZE_MAX);
+    } else if (arg == "--prof") {
+        args.prof = true;
+    } else if (arg == "--prof-out") {
+        args.profOutPath = r.value();
+    } else if (arg == "--prof-report") {
+        args.profReportPath = r.value();
+    } else {
+        return false;
     }
+    return true;
+}
+
+/**
+ * Settle what the parsed flags imply — event buffering only when a
+ * trace is going somewhere, the seed into the config, --prof implied by
+ * its paths — and start host profiling if requested. Call once, after
+ * the last flag.
+ */
+inline void
+finishArgs(BenchArgs &args)
+{
     // Event buffering costs memory; only pay for it when the trace is
     // actually going somewhere. Site attribution is always on.
     args.config.traceEvents = !args.tracePath.empty();
@@ -209,6 +280,39 @@ parseArgs(int argc, char **argv)
     args.prof = args.prof || !args.profOutPath.empty() ||
                 !args.profReportPath.empty();
     enableHostProfiling(args);
+}
+
+[[noreturn]] inline void
+harnessUsage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--jobs <n>] "
+                 "[--cache-dir <path>] [--no-cache] [--seed <n>] "
+                 "[--scale <x>] [--timing <scalar|pipelined>] "
+                 "[--predictor <nottaken|bimodal|gshare>] "
+                 "[--trace <path>] "
+                 "[--site-report <path>] [--metrics <path>] "
+                 "[--max-records <n>] [--prof] [--prof-out <path>] "
+                 "[--prof-report <path>]\n",
+                 argv0);
+    std::exit(2);
+}
+
+/**
+ * Parse a harness command line: only the shared flags above, in either
+ * `--flag value` or `--flag=value` spelling. Anything else, or a bad
+ * value, prints usage and exits 2, so typos never silently run the
+ * default experiment.
+ */
+inline BenchArgs
+parseArgs(int argc, char **argv)
+{
+    BenchArgs args;
+    ArgReader r(argc, argv, harnessUsage);
+    while (r.next())
+        if (!parseSharedFlag(r, args))
+            r.fail("unknown argument '" + r.arg() + "'");
+    finishArgs(args);
     return args;
 }
 

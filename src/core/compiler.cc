@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
-#include <memory>
 #include <unordered_map>
 
 #include "analysis/analyzer.h"
@@ -11,7 +10,6 @@
 #include "core/cost_model.h"
 #include "core/dry_run.h"
 #include "profile/profiler.h"
-#include "profile/shard.h"
 #include "util/logging.h"
 
 namespace amnesiac {
@@ -76,30 +74,12 @@ AmnesicCompiler::compile(const Program &input) const
     result.analysisSec += lap("prune");
 
     // --- pass 1: dependence + residence profiling (§3.1.1, §4) ---
-    // Serial by default; profileJobs != 1 shards the run over dynamic
-    // instruction windows with a merge that reproduces the serial
-    // profile exactly (src/profile/shard.h).
-    std::unique_ptr<Profiler> serial_profiler;
-    std::unique_ptr<ShardedProfile> sharded_profile;
-    const ProfileSource *profile = nullptr;
+    Profiler profile(prof_config);
     {
         ScopedSpan span("pass:profile", input.name);
-        if (_config.profileJobs == 1) {
-            serial_profiler = std::make_unique<Profiler>(prof_config);
-            Machine machine(input, _energy, _hierarchy);
-            machine.setObserver(serial_profiler.get());
-            machine.run(_config.runLimit);
-            profile = serial_profiler.get();
-        } else {
-            ShardOptions shard_opts;
-            shard_opts.jobs = _config.profileJobs;
-            shard_opts.runLimit = _config.runLimit;
-            sharded_profile = profileSharded(input, _energy, _hierarchy,
-                                             prof_config, shard_opts);
-            profile = sharded_profile.get();
-            result.profileShards = sharded_profile->shards();
-        }
-        span.counter("shards", result.profileShards);
+        Machine machine(input, _energy, _hierarchy);
+        machine.setObserver(&profile);
+        machine.run(_config.runLimit);
     }
     result.profileSec = lap("profile");
 
@@ -113,7 +93,7 @@ AmnesicCompiler::compile(const Program &input) const
     {
         std::array<std::uint64_t, kNumMemLevels> by_level{};
         std::uint64_t total = 0;
-        for (const SiteProfile *site : profile->sites()) {
+        for (const SiteProfile *site : profile.sites()) {
             for (std::size_t i = 0; i < kNumMemLevels; ++i)
                 by_level[i] += site->byLevel[i];
             total += site->count;
@@ -126,7 +106,7 @@ AmnesicCompiler::compile(const Program &input) const
     }
 
     std::vector<RSlice> candidates;
-    for (const SiteProfile *site : profile->sites()) {
+    for (const SiteProfile *site : profile.sites()) {
         ++result.stats.sitesSeen;
         result.stats.totalDynLoads += site->count;
         if (site->count < _config.minSiteCount) {
@@ -144,7 +124,7 @@ AmnesicCompiler::compile(const Program &input) const
         // the economics to the runtime oracle (§5.1).
         double budget = _config.oracleSet
             ? _energy.loadEnergy(MemLevel::Memory) : eld;
-        auto slice = builder.build(*site, budget, *profile);
+        auto slice = builder.build(*site, budget, profile);
         if (!slice) {
             ++result.stats.rejectedNoSlice;
             continue;
@@ -159,7 +139,7 @@ AmnesicCompiler::compile(const Program &input) const
         for (std::size_t i = 0; i < kNumMemLevels; ++i)
             slice->profResidence[i] =
                 site->prLevel(static_cast<MemLevel>(i));
-        slice->valueLocalityPct = profile->valueLocalityPercent(site->pc);
+        slice->valueLocalityPct = profile.valueLocalityPercent(site->pc);
         candidates.push_back(std::move(*slice));
     }
     select_span.counter("sitesSeen", result.stats.sitesSeen);
@@ -193,7 +173,7 @@ AmnesicCompiler::compile(const Program &input) const
 
     result.stats.selected = candidates.size();
     for (const RSlice &slice : candidates) {
-        const SiteProfile *site = profile->site(slice.loadPc);
+        const SiteProfile *site = profile.site(slice.loadPc);
         result.stats.coveredDynLoads += site ? site->count : 0;
     }
 

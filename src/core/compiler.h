@@ -64,14 +64,10 @@ struct CompilerConfig
     /** Runaway guard for the profiling simulations. */
     std::uint64_t runLimit = 1ull << 32;
     /**
-     * Worker threads for the dependence-profiling pass. 1 (default)
-     * runs the classic serial profiler; 0 = hardware concurrency;
-     * K > 1 shards the run into K dynamic-instruction windows on a
-     * private pool (src/profile/shard.h). Pure scheduling: the
-     * profile, the selected candidates, and the emitted binary are
-     * byte-identical for every value (machine-checked in
-     * tests/profile_shard_test.cc), so this is excluded from the
-     * canonical experiment config string like the other jobs knobs.
+     * Unused: nothing in src/ reads this field. Profiling is always one
+     * serial pass. Kept only so existing callers that assign or print
+     * it still build; it is in neither the artifact-cache key nor the
+     * config digest.
      */
     unsigned profileJobs = 1;
 };
@@ -115,8 +111,6 @@ struct CompileResult
     /** Wall-clock seconds of the dependence-profiling pass (pass 1
      * only — a share of the pipeline's compileSec, like analysisSec). */
     double profileSec = 0.0;
-    /** Windows the profiling pass ran as (1 = the serial profiler). */
-    unsigned profileShards = 1;
     /**
      * Gap-free per-pass wall-clock laps over the compile() body, in
      * execution order (prune, profile, select, dryrun, rewrite, gate):

@@ -55,20 +55,18 @@ class SliceBuilder
      * @param energy_budget Eld estimate that caps Erc (§2: "the energy
      *        consumption of the load sets the energy budget")
      * @param profile execution counts for REC amortization and the
-     *        arena holding the site's tree representatives (serial
-     *        Profiler or merged ShardedProfile — the builder cannot
-     *        tell them apart, which is the point)
+     *        tracker holding the site's tree representatives
      * @return the grown slice, or nullopt if even the minimal
      *         root-only slice violates the budget or no producer tree
      *         exists
      */
     std::optional<RSlice> build(const SiteProfile &site,
                                 double energy_budget,
-                                const ProfileSource &profile) const;
+                                const Profiler &profile) const;
 
     /** REC executions per dynamic load for a candidate slice. */
     double recPerLoad(const RSlice &slice, const SiteProfile &site,
-                      const ProfileSource &profile) const;
+                      const Profiler &profile) const;
 
   private:
     const EnergyModel *_energy;

@@ -63,11 +63,6 @@ struct RunManifest
      * Deterministic: a pure function of program + config, never of
      * scheduling — rendered inside the determinism-witness prefix. */
     std::uint64_t prunedCandidates = 0;
-    /** Windows the dependence-profiling pass ran as (max over the
-     * compiles; 1 = serial). Scheduling provenance, like jobsEffective:
-     * machine-dependent when profileJobs = 0, so rendered outside the
-     * determinism-witness prefix. */
-    unsigned profileShards = 1;
     /** Compiles served from the artifact cache this run (0–2: the
      * probabilistic and oracle sets cache independently). Depends on
      * disk state, so also outside the witness prefix. */

@@ -107,6 +107,12 @@ class DepTracker
 {
   public:
     DepTracker() { _regs.fill(kNoNode); }
+    /** NodeIds index this tracker's arena, so it is never copied; a
+     * move hands the arena over intact. */
+    DepTracker(const DepTracker &) = delete;
+    DepTracker &operator=(const DepTracker &) = delete;
+    DepTracker(DepTracker &&) = default;
+    DepTracker &operator=(DepTracker &&) = default;
 
     /** Record execution of a sliceable instruction. */
     void onAlu(std::uint32_t pc, const Instruction &instr,

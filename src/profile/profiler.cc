@@ -1,7 +1,6 @@
 #include "profile/profiler.h"
 
 #include <algorithm>
-#include <limits>
 
 #include "util/logging.h"
 
@@ -35,19 +34,7 @@ SiteProfile::stability() const
     return static_cast<double>(best->count) / static_cast<double>(count);
 }
 
-Profiler::Profiler(const ProfilerConfig &config)
-    : _config(config), _maxDistinctTrees(config.maxDistinctTrees)
-{
-}
-
-Profiler::Profiler(const ProfilerConfig &config, Seed &&seed)
-    : _config(config),
-      _maxDistinctTrees(std::numeric_limits<std::size_t>::max()),
-      _tracker(std::move(seed.tracker))
-{
-    for (const auto &[pc, value] : seed.lastValues)
-        _values.seedLast(pc, value);
-}
+Profiler::Profiler(const ProfilerConfig &config) : _config(config) {}
 
 void
 Profiler::mirrorExec(DepTracker &tracker, const ProfilerConfig &config,
@@ -180,9 +167,9 @@ Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
                            });
     if (it != site.trees.end()) {
         ++it->count;
-    } else if (site.trees.size() < _maxDistinctTrees) {
+    } else if (site.trees.size() < _config.maxDistinctTrees) {
         _tracker.pin(root);  // keep the representative alive in the arena
-        site.trees.push_back({sig, 1, root, 0});
+        site.trees.push_back({sig, 1, root});
     } else {
         site.treeOverflow = true;
     }

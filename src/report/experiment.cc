@@ -274,9 +274,6 @@ ExperimentRunner::prepare(BenchmarkResult &result,
         result.compiled.analysisSec + result.oracleCompiled.analysisSec;
     result.manifest.phases.profileSec =
         result.compiled.profileSec + result.oracleCompiled.profileSec;
-    result.manifest.profileShards =
-        std::max(result.compiled.profileShards,
-                 result.oracleCompiled.profileShards);
     result.manifest.cacheHits = normal_cache_hits + oracle_cache_hits;
     result.manifest.cacheMisses = normal_cache_misses + oracle_cache_misses;
 

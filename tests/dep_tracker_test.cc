@@ -195,81 +195,5 @@ TEST(DepTracker, PinKeepsSubgraphAlive)
     EXPECT_EQ(t.node(t.node(pinned).in1).pc, 1u);
 }
 
-// --- shard-arena coverage: the windowed profiler (profile/shard.h)
-// seeds each window with a *copy* of the tracker at the window
-// boundary, so copied arenas must preserve ids, pins, signatures, and
-// the global sequence numbering exactly. ---
-
-TEST(DepTracker, CopiedArenaPreservesIdsPinsAndSignatures)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 5), 5);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 7), 7);
-    t.onAlu(3, alu(Opcode::Mul, 3, 1, 2), 35);
-    NodeId root = t.regProducer(3);
-    t.pin(root);
-    std::uint64_t sig = treeSignature(t, root);
-
-    DepTracker copy = t;  // the shard seed: a plain copy
-    // NodeIds are arena indexes, so they stay valid verbatim in the
-    // copy, and structural signatures agree arena-for-arena.
-    EXPECT_EQ(copy.regProducer(3), root);
-    EXPECT_EQ(treeSignature(copy, root), sig);
-    EXPECT_EQ(copy.node(root).pc, t.node(root).pc);
-    EXPECT_EQ(copy.node(root).seq, t.node(root).seq);
-
-    // Diverge both sides; the pin must hold independently in each
-    // arena (recycling in one must not disturb the other).
-    t.onAlu(4, alu(Opcode::Li, 3, 0, 0, 0), 0);
-    copy.onAlu(5, alu(Opcode::Li, 3, 0, 0, 1), 1);
-    copy.onAlu(6, alu(Opcode::Li, 1, 0, 0, 2), 2);
-    EXPECT_EQ(treeSignature(t, root), sig);
-    EXPECT_EQ(treeSignature(copy, root), sig);
-    EXPECT_EQ(t.node(root).value, 35u);
-    EXPECT_EQ(copy.node(root).value, 35u);
-}
-
-TEST(DepTracker, CopiedArenaContinuesSequenceNumbers)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
-    std::uint64_t boundary_seq = t.node(t.regProducer(2)).seq;
-
-    // Pinning (what the window profiler does to representatives) must
-    // not advance the dynamic sequence; otherwise a window's replay
-    // would interleave differently from the serial pass and the
-    // materialized slice order would diverge.
-    t.pin(t.regProducer(1));
-    DepTracker copy = t;
-    copy.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
-    EXPECT_EQ(copy.node(copy.regProducer(3)).seq, boundary_seq + 1);
-
-    // The original continues on the same numbering: the two arenas
-    // assign the *same* seq to the same dynamic production, which is
-    // what makes per-window slices merge into the serial order.
-    t.onAlu(3, alu(Opcode::Add, 3, 1, 2), 3);
-    EXPECT_EQ(t.node(t.regProducer(3)).seq,
-              copy.node(copy.regProducer(3)).seq);
-}
-
-TEST(DepTracker, CopiedArenaRecyclesIndependently)
-{
-    DepTracker t;
-    t.onAlu(1, alu(Opcode::Li, 1, 0, 0, 1), 1);
-    t.onAlu(2, alu(Opcode::Li, 2, 0, 0, 2), 2);
-    DepTracker copy = t;
-
-    // Churn the copy hard: its free list must recycle its own arena
-    // without ever growing past the serial steady state, and the
-    // original's chains stay untouched.
-    for (int i = 0; i < 1000; ++i)
-        copy.onAlu(3, alu(Opcode::Add, 4, 1, 2), 3);
-    EXPECT_LT(copy.arenaSize(), 64u);
-    EXPECT_EQ(t.node(t.regProducer(1)).value, 1u);
-    EXPECT_EQ(t.node(t.regProducer(2)).value, 2u);
-    EXPECT_EQ(t.productions(), 2u);
-}
-
 }  // namespace
 }  // namespace amnesiac

@@ -9,19 +9,16 @@
  *                          (default: all)
  *   --jobs <n>             experiment-pipeline worker threads
  *                          (0 = hardware_concurrency, 1 = serial)
- *   --profile-jobs <n>     windows for the dependence-profiling pass
- *                          (1 = serial, 0 = hardware concurrency,
- *                          K > 1 fixed; output is byte-identical)
  *   --cache-dir <path>     compiled-artifact cache directory (default:
  *                          $AMNESIAC_CACHE_DIR if set, else disabled)
  *   --no-cache             disable the artifact cache
  *   --seed <n>             workload seed (default 1)
- *   --scale <x>            non-memory EPI scale, the §5.5 R knob
+ *   --scale <x>            non-memory EPI scale, the §5.5 R knob (> 0)
  *   --timing <b>           cycle backend: scalar | pipelined
  *   --predictor <p>        pipelined branch predictor:
  *                          nottaken | bimodal | gshare
- *   --hist <n>             Hist capacity (default 600)
- *   --sfile <n>            SFile capacity (default 192)
+ *   --hist <n>             Hist capacity (default 600; 1..2^20)
+ *   --sfile <n>            SFile capacity (default 192; 1..2^20)
  *   --per-site-model       use the exact per-site Eld model instead of
  *                          the paper's global §3.1.1 model
  *   --trace <path>         write a Chrome/Perfetto trace of the run
@@ -37,7 +34,9 @@
  *   --save <path>          write the compiled amnesic binary and exit
  *   --disasm               dump the rewritten binary and exit
  *
- * Every value flag accepts both `--flag value` and `--flag=value`.
+ * Every value flag accepts both `--flag value` and `--flag=value`. The
+ * flags shared with the bench harnesses are parsed by
+ * bench::parseSharedFlag; a bad value prints usage and exits 2.
  */
 
 #include <cstdio>
@@ -73,7 +72,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--list] [--policy <p>] [--seed <n>] "
-                 "[--jobs <n>] [--profile-jobs <n>] "
+                 "[--jobs <n>] "
                  "[--cache-dir <path>] [--no-cache] [--scale <x>] "
                  "[--timing <scalar|pipelined>] "
                  "[--predictor <nottaken|bimodal|gshare>] [--hist <n>] "
@@ -99,89 +98,33 @@ main(int argc, char **argv)
     bool disasm = false;
     std::string save_path;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string inline_value;
-        bool has_value = false;
-        if (arg.size() >= 2 && arg[0] == '-') {
-            if (auto eq = arg.find('='); eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_value = true;
-            }
-        }
-        auto next = [&]() -> std::string {
-            if (has_value)
-                return inline_value;
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        if (bench::parseSharedFlag(r, args))
+            continue;
+        const std::string &arg = r.arg();
         if (arg == "--list") {
             for (const std::string &name : registeredWorkloads())
                 std::printf("%s\n", name.c_str());
             return 0;
         } else if (arg == "--policy") {
-            policy_arg = next();
-        } else if (arg == "--seed") {
-            args.seed = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--jobs") {
-            config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--profile-jobs") {
-            config.compiler.profileJobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
-        } else if (arg == "--cache-dir") {
-            config.cacheDir = next();
-        } else if (arg == "--no-cache") {
-            config.noCache = true;
-        } else if (arg == "--scale") {
-            config.energy.nonMemScale = std::strtod(next().c_str(), nullptr);
-        } else if (arg == "--timing") {
-            std::string name = next();
-            if (!parseTimingBackend(name, config.timing.backend)) {
-                std::fprintf(stderr, "unknown timing backend '%s'\n",
-                             name.c_str());
-                return 2;
-            }
-        } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!parsePredictorKind(name, config.timing.predictor)) {
-                std::fprintf(stderr, "unknown predictor '%s'\n",
-                             name.c_str());
-                return 2;
-            }
+            policy_arg = r.value();
         } else if (arg == "--hist") {
-            config.amnesic.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.amnesic.histCapacity =
+                static_cast<std::uint32_t>(r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--sfile") {
-            config.amnesic.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.amnesic.sfileCapacity =
+                static_cast<std::uint32_t>(r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--per-site-model") {
             config.compiler.globalResidenceModel = false;
-        } else if (arg == "--trace") {
-            args.tracePath = next();
-        } else if (arg == "--site-report") {
-            args.siteReportPath = next();
-        } else if (arg == "--metrics") {
-            args.metricsPath = next();
-        } else if (arg == "--max-records") {
-            config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--prof") {
-            args.prof = true;
-        } else if (arg == "--prof-out") {
-            args.profOutPath = next();
-        } else if (arg == "--prof-report") {
-            args.profReportPath = next();
         } else if (arg == "--save") {
-            save_path = next();
+            save_path = r.value();
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--disasm") {
             disasm = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
+            r.fail("unknown flag '" + arg + "'");
         } else {
             workload_name = arg;
         }
@@ -193,11 +136,7 @@ main(int argc, char **argv)
                      workload_name.c_str());
         return 2;
     }
-    config.traceEvents = !args.tracePath.empty();
-    config.seed = args.seed;
-    args.prof = args.prof || !args.profOutPath.empty() ||
-                !args.profReportPath.empty();
-    bench::enableHostProfiling(args);
+    bench::finishArgs(args);
 
     Workload workload = makeWorkload(workload_name, args.seed);
     ExperimentRunner runner(config);

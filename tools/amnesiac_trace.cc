@@ -11,9 +11,9 @@
  *                          (default: FLC)
  *   --seed <n>             workload seed (default 1)
  *   --jobs <n>             pipeline worker threads (default 0 = hw)
- *   --scale <x>            non-memory EPI scale (§5.5 R knob)
- *   --hist <n>             Hist capacity
- *   --sfile <n>            SFile capacity
+ *   --scale <x>            non-memory EPI scale (§5.5 R knob; > 0)
+ *   --hist <n>             Hist capacity (1..2^20)
+ *   --sfile <n>            SFile capacity (1..2^20)
  *   --jsonl <path>         write the JSONL event stream ('-' = stdout)
  *   --chrome <path>        write Chrome trace-event JSON
  *   --site-report <path>   write the ranked site report ('-' = stdout)
@@ -29,7 +29,8 @@
  *   --prof-report <path>   aggregated flame table (implies --prof)
  *
  * With no output flags the site report prints to stdout. Every value
- * flag accepts both `--flag value` and `--flag=value`. The event
+ * flag accepts both `--flag value` and `--flag=value`; a malformed or
+ * out-of-range number prints usage and exits 2. The event
  * streams and site reports are deterministic: same (workload, policy,
  * config, seed) → byte-identical artifacts, independent of --jobs.
  */
@@ -98,62 +99,46 @@ main(int argc, char **argv)
         manifest_path;
     bench::BenchArgs prof_args;  // only the --prof triple is used
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        std::string inline_value;
-        bool has_value = false;
-        if (arg.size() >= 2 && arg[0] == '-' && arg != "-") {
-            if (auto eq = arg.find('='); eq != std::string::npos) {
-                inline_value = arg.substr(eq + 1);
-                arg.resize(eq);
-                has_value = true;
-            }
-        }
-        auto next = [&]() -> std::string {
-            if (has_value)
-                return inline_value;
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        const std::string &arg = r.arg();
         if (arg == "--policy") {
-            policy_arg = next();
+            policy_arg = r.value();
         } else if (arg == "--seed") {
-            seed = std::strtoull(next().c_str(), nullptr, 10);
+            seed = r.integer(0, UINT64_MAX);
         } else if (arg == "--jobs") {
-            config.jobs = static_cast<unsigned>(
-                std::strtoul(next().c_str(), nullptr, 10));
+            config.jobs =
+                static_cast<unsigned>(r.integer(0, bench::kMaxJobs));
         } else if (arg == "--scale") {
-            config.energy.nonMemScale = std::strtod(next().c_str(), nullptr);
+            config.energy.nonMemScale = r.positive();
         } else if (arg == "--hist") {
             config.amnesic.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--sfile") {
             config.amnesic.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next().c_str(), nullptr, 10));
+                r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--jsonl") {
-            jsonl_path = next();
+            jsonl_path = r.value();
         } else if (arg == "--chrome") {
-            chrome_path = next();
+            chrome_path = r.value();
         } else if (arg == "--site-report") {
-            site_path = next();
+            site_path = r.value();
         } else if (arg == "--metrics") {
-            metrics_path = next();
+            metrics_path = r.value();
         } else if (arg == "--manifest") {
-            manifest_path = next();
+            manifest_path = r.value();
         } else if (arg == "--memory") {
             config.traceMemory = true;
         } else if (arg == "--max-records") {
-            config.traceMaxRecords =
-                std::strtoull(next().c_str(), nullptr, 10);
+            config.traceMaxRecords = r.integer(0, SIZE_MAX);
         } else if (arg == "--prof") {
             prof_args.prof = true;
         } else if (arg == "--prof-out") {
-            prof_args.profOutPath = next();
+            prof_args.profOutPath = r.value();
         } else if (arg == "--prof-report") {
-            prof_args.profReportPath = next();
+            prof_args.profReportPath = r.value();
         } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            usage(argv[0]);
+            r.fail("unknown flag '" + arg + "'");
         } else {
             workload_name = arg;
         }

@@ -74,7 +74,7 @@ def match_workloads(base, fresh):
 
 def check_interp(base, fresh, ratio):
     for name, b, f in match_workloads(base, fresh):
-        for phase in ("classic", "amnesic", "profile", "profileSharded"):
+        for phase in ("classic", "amnesic", "profile"):
             check_exact(name, f"{phase}.instrs",
                         b[phase]["instrs"], f[phase]["instrs"])
             check_throughput(name, f"{phase}.nsPerInstr",
