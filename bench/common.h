@@ -86,8 +86,9 @@ enableHostProfiling(const BenchArgs &args)
 }
 
 /**
- * Cursor over argv shared by every flag parser (parseArgs below,
- * amnesiac-run, amnesiac-trace): splits `--flag=value`, fetches values,
+ * Cursor over argv shared by every flag parser (parseArgs below, the
+ * perf_interp/perf_timing harnesses, and the amnesiac-run, -trace,
+ * -lint and -fuzz tools): splits `--flag=value`, fetches values,
  * and parses numbers strictly — the whole string, within range. A
  * missing, malformed or out-of-range value prints what was wrong, then
  * the parser's usage, and exits 2.
@@ -154,15 +155,15 @@ class ArgReader
     double
     positive()
     {
-        const std::string text = value();
-        const char *end = text.data() + text.size();
-        double v = 0.0;
-        auto [ptr, ec] = std::from_chars(text.data(), end, v);
-        if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
-            v <= 0.0)
-            fail("bad value '" + text + "' for " + _arg +
-                 " (want a finite number > 0)");
-        return v;
+        return real([](double v) { return v > 0.0; }, "a finite number > 0");
+    }
+
+    /** value() as a number in [0, 1]. */
+    double
+    fraction()
+    {
+        return real([](double v) { return v >= 0.0 && v <= 1.0; },
+                    "a number in [0, 1]");
     }
 
     /** Report a command-line error and exit 2 through the usage. */
@@ -175,6 +176,21 @@ class ArgReader
     }
 
   private:
+    /** value() as a finite number accepted by `in_range`. */
+    double
+    real(bool (*in_range)(double), const char *want)
+    {
+        const std::string text = value();
+        const char *end = text.data() + text.size();
+        double v = 0.0;
+        auto [ptr, ec] = std::from_chars(text.data(), end, v);
+        if (ec != std::errc() || ptr != end || !std::isfinite(v) ||
+            !in_range(v))
+            fail("bad value '" + text + "' for " + _arg + " (want " +
+                 want + ")");
+        return v;
+    }
+
     int _argc;
     char **_argv;
     Usage _usage;

@@ -69,7 +69,7 @@ BENCHMARK(BM_SFileAllocCycle);
 void
 BM_HistRecordLookup(benchmark::State &state)
 {
-    Hist hist(600);
+    Hist hist(600, 600);
     Xorshift64Star rng(4);
     for (auto _ : state) {
         std::uint32_t leaf = static_cast<std::uint32_t>(rng.nextBelow(600));

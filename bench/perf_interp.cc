@@ -15,6 +15,9 @@
  *
  *   perf_interp [--quick] [--repeats <n>] [--out <path>] [--policy <p>]
  *
+ * `--repeats` takes 1..1000 (default 3); a bad value or flag prints
+ * usage and exits 2 (bench::ArgReader).
+ *
  * Exit status is 0 unless a simulation crashes — the CI perf-smoke job
  * gates only on "runs and emits valid JSON", never on thresholds (perf
  * numbers are tracked as artifacts, not asserted, to keep CI unflaky).
@@ -38,6 +41,8 @@
 #include "report/experiment.h"
 #include "sim/machine.h"
 #include "workloads/registry.h"
+
+#include "common.h"
 
 namespace {
 
@@ -116,6 +121,19 @@ appendPhaseJson(std::string &out, const char *key, const PhaseResult &p)
     out += buf;
 }
 
+/** Upper bound of --repeats: each repeat re-runs every phase. */
+constexpr std::uint64_t kMaxRepeats = 1000;
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--repeats <n>] [--out <path>] "
+                 "[--policy <p>]\n",
+                 argv0);
+    std::exit(2);
+}
+
 }  // namespace
 
 int
@@ -126,37 +144,23 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_interp.json";
     Policy policy = Policy::FLC;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n", argv[0],
-                             arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    amnesiac::bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        const std::string &arg = r.arg();
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
-            if (repeats < 1)
-                repeats = 1;
+            repeats = static_cast<int>(r.integer(1, kMaxRepeats));
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = r.value();
         } else if (arg == "--policy") {
-            auto parsed = parsePolicy(next());
-            if (!parsed) {
-                std::fprintf(stderr, "%s: unknown policy\n", argv[0]);
-                return 2;
-            }
+            const std::string name = r.value();
+            auto parsed = parsePolicy(name);
+            if (!parsed)
+                r.fail("unknown policy '" + name + "'");
             policy = *parsed;
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--repeats <n>] "
-                         "[--out <path>] [--policy <p>]\n",
-                         argv[0]);
-            return 2;
+            r.fail("unknown argument '" + arg + "'");
         }
     }
 

@@ -24,6 +24,9 @@
  *
  *   perf_timing [--quick] [--repeats <n>] [--out <path>]
  *               [--predictor <nottaken|bimodal|gshare>]
+ *
+ * `--repeats` takes 1..1000 (default 3); a bad value or flag prints
+ * usage and exits 2 (bench::ArgReader).
  */
 
 #include <chrono>
@@ -37,6 +40,8 @@
 #include "sim/machine.h"
 #include "timing/timing.h"
 #include "workloads/registry.h"
+
+#include "common.h"
 
 namespace {
 
@@ -133,6 +138,19 @@ appendBackendJson(std::string &out, const char *key,
     out += buf;
 }
 
+/** Upper bound of --repeats: each repeat re-runs every phase. */
+constexpr std::uint64_t kMaxRepeats = 1000;
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::fprintf(stderr,
+                 "usage: %s [--quick] [--repeats <n>] [--out <path>] "
+                 "[--predictor <nottaken|bimodal|gshare>]\n",
+                 argv0);
+    std::exit(2);
+}
+
 }  // namespace
 
 int
@@ -143,38 +161,21 @@ main(int argc, char **argv)
     std::string out_path = "BENCH_timing.json";
     PredictorKind predictor = PredictorKind::Bimodal;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s: missing value for %s\n",
-                             argv[0], arg.c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+    amnesiac::bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        const std::string &arg = r.arg();
         if (arg == "--quick") {
             quick = true;
         } else if (arg == "--repeats") {
-            repeats = std::atoi(next().c_str());
-            if (repeats < 1)
-                repeats = 1;
+            repeats = static_cast<int>(r.integer(1, kMaxRepeats));
         } else if (arg == "--out") {
-            out_path = next();
+            out_path = r.value();
         } else if (arg == "--predictor") {
-            std::string name = next();
-            if (!amnesiac::parsePredictorKind(name, predictor)) {
-                std::fprintf(stderr, "%s: unknown predictor '%s'\n",
-                             argv[0], name.c_str());
-                return 2;
-            }
+            const std::string name = r.value();
+            if (!amnesiac::parsePredictorKind(name, predictor))
+                r.fail("unknown predictor '" + name + "'");
         } else {
-            std::fprintf(stderr,
-                         "usage: %s [--quick] [--repeats <n>] "
-                         "[--out <path>] "
-                         "[--predictor <nottaken|bimodal|gshare>]\n",
-                         argv[0]);
-            return 2;
+            r.fail("unknown argument '" + arg + "'");
         }
     }
 

@@ -12,7 +12,9 @@ AmnesicMachine::AmnesicMachine(const Program &program,
     : Machine(program, energy, hierarchy_config,
               static_cast<ExecutionHooks *>(this), timing),
       _config(config), _sfile(config.sfileCapacity),
-      _hist(config.histCapacity), _ibuff(config.ibuffCapacity),
+      _hist(config.histCapacity,
+            static_cast<std::uint32_t>(program.code.size())),
+      _ibuff(config.ibuffCapacity),
       _predictor(config.predictorLogEntries)
 {
 #ifndef NDEBUG
@@ -68,14 +70,6 @@ AmnesicMachine::AmnesicMachine(const Program &program,
         _sliceEnergy[meta.id] = erc;
         _sliceChargedNj[meta.id] = charged;
     }
-}
-
-double
-AmnesicMachine::runtimeSliceEnergy(std::uint32_t slice_id) const
-{
-    AMNESIAC_ASSERT(slice_id < _sliceChargedNj.size(),
-                    "slice id out of range");
-    return _sliceChargedNj[slice_id];
 }
 
 void

@@ -210,10 +210,6 @@ class AmnesicMachine : public Machine, private ExecutionHooks
     /** Slices currently poisoned by failed RECs or SFile overflow. */
     std::size_t failedSliceCount() const { return _failedSlices.size(); }
 
-    /** Charged-model energy of one full traversal of a slice (the
-     * realized Erc; the decision rule may use a pinned model instead). */
-    double runtimeSliceEnergy(std::uint32_t slice_id) const;
-
     // --- observability API ----------------------------------------------
 
     /** Attach at most one tracer (nullptr detaches). Tracing is
@@ -231,10 +227,8 @@ class AmnesicMachine : public Machine, private ExecutionHooks
         engine().setFaultHook(hook);
     }
 
-    /** Mutable Hist/SFile/hierarchy access for persistent-state
-     * corruption between steps. Never used by production paths. */
-    Hist &mutableHist() { return _hist; }
-    SFile &mutableSFile() { return _sfile; }
+    /** Mutable hierarchy access for persistent-state corruption
+     * between steps. Never used by production paths. */
     MemoryHierarchy &mutableHierarchy()
     {
         return engine().mutableHierarchy();

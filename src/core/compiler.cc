@@ -139,7 +139,7 @@ AmnesicCompiler::compile(const Program &input) const
         for (std::size_t i = 0; i < kNumMemLevels; ++i)
             slice->profResidence[i] =
                 site->prLevel(static_cast<MemLevel>(i));
-        slice->valueLocalityPct = profile.valueLocalityPercent(site->pc);
+        slice->valueLocalityPct = site->valueLocalityPercent();
         candidates.push_back(std::move(*slice));
     }
     select_span.counter("sitesSeen", result.stats.sitesSeen);
@@ -176,6 +176,9 @@ AmnesicCompiler::compile(const Program &input) const
         const SiteProfile *site = profile.site(slice.loadPc);
         result.stats.coveredDynLoads += site ? site->count : 0;
     }
+    // The profile is the compile's largest allocation: free it inside
+    // a lap, not after the last one, so the laps cover the whole call.
+    { Profiler done = std::move(profile); }
 
     // --- pass 3: rewrite (§3.1.2) ---
     {

@@ -1,21 +1,34 @@
 #include "core/dry_run.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace amnesiac {
 
 DryRunValidator::DryRunValidator(const std::vector<RSlice> &candidates)
-    : _candidates(&candidates)
+    : _candidates(&candidates), _results(candidates.size())
 {
+    std::size_t slots = 0;
+    std::size_t longest = 0;
     for (std::size_t c = 0; c < candidates.size(); ++c) {
         const RSlice &slice = candidates[c];
-        AMNESIAC_ASSERT(!_byLoadPc.count(slice.loadPc),
+        if (slice.loadPc >= _byLoadPc.size())
+            _byLoadPc.resize(std::size_t{slice.loadPc} + 1, kNoCandidate);
+        AMNESIAC_ASSERT(_byLoadPc[slice.loadPc] == kNoCandidate,
                         "two candidates for one load site");
         _byLoadPc[slice.loadPc] = c;
-        for (const auto &[orig_pc, instr_idx] : slice.capturePoints())
+        for (const auto &[orig_pc, instr_idx] : slice.capturePoints()) {
+            if (orig_pc >= _captures.size())
+                _captures.resize(std::size_t{orig_pc} + 1);
             _captures[orig_pc].emplace_back(c, instr_idx);
-        _results[slice.loadPc] = DryRunSiteResult{};
+        }
+        _histBase.push_back(slots);
+        slots += slice.instrs.size();
+        longest = std::max(longest, slice.instrs.size());
     }
+    _shadowHist.resize(slots);
+    _values.reserve(longest);
 }
 
 void
@@ -23,19 +36,19 @@ DryRunValidator::onExec(const ExecutionEngine &m, std::uint32_t pc,
                         const Instruction &instr)
 {
     (void)instr;
-    auto it = _captures.find(pc);
-    if (it == _captures.end())
+    if (pc >= _captures.size())
         return;
     // REC-before semantics: snapshot the replica's source registers as
     // they are when the original instruction is about to execute.
-    for (const auto &[cand, instr_idx] : it->second) {
+    for (const auto &[cand, instr_idx] : _captures[pc]) {
         const SliceInstr &leaf = (*_candidates)[cand].instrs[instr_idx];
-        std::array<std::uint64_t, 2> snap{};
+        ShadowEntry &entry = _shadowHist[_histBase[cand] + instr_idx];
+        entry.values = {};
         if (leaf.numOps >= 1)
-            snap[0] = m.reg(leaf.ops[0].reg);
+            entry.values[0] = m.reg(leaf.ops[0].reg);
         if (leaf.numOps >= 2)
-            snap[1] = m.reg(leaf.ops[1].reg);
-        _shadowHist[histKey(cand, instr_idx)] = snap;
+            entry.values[1] = m.reg(leaf.ops[1].reg);
+        entry.written = true;
     }
 }
 
@@ -46,14 +59,14 @@ DryRunValidator::onLoad(const ExecutionEngine &m, std::uint32_t pc,
 {
     (void)addr;
     (void)serviced;
-    auto it = _byLoadPc.find(pc);
-    if (it == _byLoadPc.end())
+    if (pc >= _byLoadPc.size() || _byLoadPc[pc] == kNoCandidate)
         return;
-    const RSlice &slice = (*_candidates)[it->second];
-    DryRunSiteResult &result = _results[pc];
+    const std::size_t cand = _byLoadPc[pc];
+    const RSlice &slice = (*_candidates)[cand];
+    DryRunSiteResult &result = _results[cand];
     ++result.evaluated;
 
-    std::vector<std::uint64_t> values(slice.instrs.size(), 0);
+    _values.assign(slice.instrs.size(), 0);
     for (std::size_t i = 0; i < slice.instrs.size(); ++i) {
         const SliceInstr &instr = slice.instrs[i];
         std::uint64_t in[2] = {0, 0};
@@ -61,36 +74,35 @@ DryRunValidator::onLoad(const ExecutionEngine &m, std::uint32_t pc,
             const SliceOperand &op = instr.ops[k];
             switch (op.source) {
               case OperandSource::Slice:
-                in[k] = values[static_cast<std::size_t>(op.producerIndex)];
+                in[k] = _values[static_cast<std::size_t>(op.producerIndex)];
                 break;
               case OperandSource::Live:
                 in[k] = m.reg(op.reg);
                 break;
               case OperandSource::Hist: {
-                auto entry =
-                    _shadowHist.find(histKey(it->second,
-                                             static_cast<std::uint32_t>(i)));
-                if (entry == _shadowHist.end()) {
+                const ShadowEntry &entry = _shadowHist[_histBase[cand] + i];
+                if (!entry.written) {
                     ++result.histMisses;
                     return;  // unmatched instance
                 }
-                in[k] = entry->second[static_cast<std::size_t>(k)];
+                in[k] = entry.values[static_cast<std::size_t>(k)];
                 break;
               }
             }
         }
-        values[i] = Machine::evalAlu(instr.op, in[0], in[1], instr.imm);
+        _values[i] = Machine::evalAlu(instr.op, in[0], in[1], instr.imm);
     }
-    if (values.back() == value)
+    if (_values.back() == value)
         ++result.matched;
 }
 
 const DryRunSiteResult &
 DryRunValidator::result(std::uint32_t load_pc) const
 {
-    auto it = _results.find(load_pc);
-    AMNESIAC_ASSERT(it != _results.end(), "no candidate at this load pc");
-    return it->second;
+    AMNESIAC_ASSERT(load_pc < _byLoadPc.size() &&
+                        _byLoadPc[load_pc] != kNoCandidate,
+                    "no candidate at this load pc");
+    return _results[_byLoadPc[load_pc]];
 }
 
 }  // namespace amnesiac

@@ -15,7 +15,7 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/rslice.h"
@@ -59,23 +59,28 @@ class DryRunValidator : public MachineObserver
     const DryRunSiteResult &result(std::uint32_t load_pc) const;
 
   private:
-    /** Shadow Hist key: (candidate index, slice-instr index). */
-    using HistKey = std::uint64_t;
-    static HistKey
-    histKey(std::size_t cand, std::uint32_t instr_idx)
+    /** A shadow Hist slot: one per slice instruction of a candidate. */
+    struct ShadowEntry
     {
-        return (static_cast<std::uint64_t>(cand) << 32) | instr_idx;
-    }
+        std::array<std::uint64_t, 2> values{};
+        bool written = false;
+    };
+
+    static constexpr std::size_t kNoCandidate = SIZE_MAX;
 
     const std::vector<RSlice> *_candidates;
-    /** load pc -> candidate index. */
-    std::unordered_map<std::uint32_t, std::size_t> _byLoadPc;
+    /** load pc -> candidate index (kNoCandidate where none). */
+    std::vector<std::size_t> _byLoadPc;
     /** capture pc -> [(candidate, instr index)]. */
-    std::unordered_map<std::uint32_t,
-                       std::vector<std::pair<std::size_t, std::uint32_t>>>
+    std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
         _captures;
-    std::unordered_map<HistKey, std::array<std::uint64_t, 2>> _shadowHist;
-    std::unordered_map<std::uint32_t, DryRunSiteResult> _results;
+    /** Candidate c's slice instruction i has slot _histBase[c] + i. */
+    std::vector<std::size_t> _histBase;
+    std::vector<ShadowEntry> _shadowHist;
+    /** Indexed by candidate. */
+    std::vector<DryRunSiteResult> _results;
+    /** Scratch: values of the slice being evaluated. */
+    std::vector<std::uint64_t> _values;
 };
 
 }  // namespace amnesiac

@@ -65,13 +65,6 @@ needsOracleSet(Policy policy)
     return policy == Policy::Oracle;
 }
 
-/** True for the policies the paper's figures evaluate. */
-constexpr bool
-isPaperPolicy(Policy policy)
-{
-    return policy != Policy::Predictor;
-}
-
 }  // namespace amnesiac
 
 #endif  // AMNESIAC_CORE_POLICY_H

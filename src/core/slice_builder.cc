@@ -15,10 +15,8 @@ bool
 liveValid(const SiteProfile &site, const ProducerNode &node, int k,
           double threshold)
 {
-    auto it = site.operandLive.find(operandKey(node.pc, k));
-    if (it == site.operandLive.end() || it->second.seen == 0)
-        return false;
-    return it->second.rate() >= threshold;
+    OperandLiveStat stat = site.operandLive(node.pc, k);
+    return stat.seen > 0 && stat.rate() >= threshold;
 }
 
 }  // namespace

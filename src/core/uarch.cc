@@ -68,7 +68,8 @@ Renamer::lookup(Reg r) const
     return static_cast<std::uint32_t>(_map[r]);
 }
 
-Hist::Hist(std::uint32_t capacity) : _capacity(capacity)
+Hist::Hist(std::uint32_t capacity, std::uint32_t leaf_space)
+    : _capacity(capacity), _slots(leaf_space)
 {
     AMNESIAC_ASSERT(capacity > 0, "Hist needs capacity");
 }
@@ -76,17 +77,20 @@ Hist::Hist(std::uint32_t capacity) : _capacity(capacity)
 bool
 Hist::record(std::uint32_t leaf_addr, std::uint64_t v0, std::uint64_t v1)
 {
-    auto it = _entries.find(leaf_addr);
-    if (it == _entries.end()) {
-        if (_entries.size() >= _capacity) {
+    if (leaf_addr >= _slots.size()) {
+        ++_overflows;
+        return false;
+    }
+    Slot &slot = _slots[leaf_addr];
+    if (!slot.written) {
+        if (_size >= _capacity) {
             ++_overflows;
             return false;
         }
-        it = _entries.emplace(leaf_addr, Entry{}).first;
-        _highWater = std::max(_highWater,
-                              static_cast<std::uint32_t>(_entries.size()));
+        slot.written = true;
+        _highWater = std::max(_highWater, ++_size);
     }
-    it->second.values = {v0, v1};
+    slot.entry.values = {v0, v1};
     ++_writes;
     return true;
 }
@@ -95,27 +99,30 @@ bool
 Hist::corrupt(std::uint32_t leaf_addr, int lane, std::uint64_t xor_mask)
 {
     AMNESIAC_ASSERT(lane == 0 || lane == 1, "Hist entries have two lanes");
-    auto it = _entries.find(leaf_addr);
-    if (it == _entries.end())
+    if (!written(leaf_addr))
         return false;
-    it->second.values[static_cast<std::size_t>(lane)] ^= xor_mask;
+    _slots[leaf_addr].entry.values[static_cast<std::size_t>(lane)] ^=
+        xor_mask;
     return true;
 }
 
 bool
 Hist::erase(std::uint32_t leaf_addr)
 {
-    return _entries.erase(leaf_addr) > 0;
+    if (!written(leaf_addr))
+        return false;
+    _slots[leaf_addr].written = false;
+    --_size;
+    return true;
 }
 
 const Hist::Entry *
 Hist::lookup(std::uint32_t leaf_addr) const
 {
-    auto it = _entries.find(leaf_addr);
-    if (it == _entries.end())
+    if (!written(leaf_addr))
         return nullptr;
     ++_reads;
-    return &it->second;
+    return &_slots[leaf_addr].entry;
 }
 
 MissPredictor::MissPredictor(std::uint32_t log2_entries)

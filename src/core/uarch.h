@@ -13,7 +13,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -90,6 +89,10 @@ class Renamer
  * slice-region address), holding up to two checkpointed source-operand
  * values. On capacity overflow the REC fails and the scheduler forces
  * the matching RCMP to fall back to the load (§3.5).
+ *
+ * Entries live in a table indexed by leaf address over the program's
+ * address space, so lookups never hash; `capacity` bounds how many of
+ * them may be written at once.
  */
 class Hist
 {
@@ -99,11 +102,14 @@ class Hist
         std::array<std::uint64_t, 2> values{};
     };
 
-    explicit Hist(std::uint32_t capacity);
+    /** @param leaf_space addresses a leaf may have: [0, leaf_space) */
+    Hist(std::uint32_t capacity, std::uint32_t leaf_space);
 
     /**
      * Record a checkpoint for a leaf.
-     * @return false when the table is full and the leaf has no entry yet
+     * @return false when the table is full and the leaf has no entry
+     * yet, or the leaf lies outside the address space (a REC the
+     * analyzer rejects as AMN203); both count as overflows
      */
     bool record(std::uint32_t leaf_addr, std::uint64_t v0,
                 std::uint64_t v1);
@@ -112,10 +118,7 @@ class Hist
     const Entry *lookup(std::uint32_t leaf_addr) const;
 
     std::uint32_t capacity() const { return _capacity; }
-    std::uint32_t size() const
-    {
-        return static_cast<std::uint32_t>(_entries.size());
-    }
+    std::uint32_t size() const { return _size; }
     std::uint32_t highWater() const { return _highWater; }
     std::uint64_t writes() const { return _writes; }
     std::uint64_t reads() const { return _reads; }
@@ -132,8 +135,21 @@ class Hist
     bool erase(std::uint32_t leaf_addr);
 
   private:
+    bool
+    written(std::uint32_t leaf_addr) const
+    {
+        return leaf_addr < _slots.size() && _slots[leaf_addr].written;
+    }
+
+    struct Slot
+    {
+        Entry entry;
+        bool written = false;
+    };
+
     std::uint32_t _capacity;
-    std::unordered_map<std::uint32_t, Entry> _entries;
+    std::vector<Slot> _slots;  ///< indexed by leaf address
+    std::uint32_t _size = 0;   ///< written slots
     std::uint32_t _highWater = 0;
     std::uint64_t _writes = 0;
     mutable std::uint64_t _reads = 0;

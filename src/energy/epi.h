@@ -180,7 +180,6 @@ class EnergyModel
 
     /** Hist read/write cost (modeled after L1-D, §4). */
     double histAccessEnergy() const { return _config.histAccessNj; }
-    std::uint32_t histAccessLatency() const { return _config.histCycles; }
 
     /** Convert a cycle count to seconds at the configured frequency. */
     double cyclesToSeconds(std::uint64_t cycles) const;

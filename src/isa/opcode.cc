@@ -179,10 +179,4 @@ isSliceable(Opcode op)
     }
 }
 
-bool
-isNonMemCategory(InstrCategory cat)
-{
-    return cat != InstrCategory::Load && cat != InstrCategory::Store;
-}
-
 }  // namespace amnesiac

@@ -90,8 +90,6 @@ int numSources(Opcode op);
 /** True if the opcode writes a destination register. */
 bool hasDest(Opcode op);
 
-/** True for Ld (the only classic memory-read opcode). */
-inline bool isLoad(Opcode op) { return op == Opcode::Ld; }
 
 /** True for St. */
 inline bool isStore(Opcode op) { return op == Opcode::St; }
@@ -113,8 +111,6 @@ bool isControlFlow(Opcode op);
  */
 bool isSliceable(Opcode op);
 
-/** True if the instruction category is neither a load nor a store. */
-bool isNonMemCategory(InstrCategory cat);
 
 }  // namespace amnesiac
 

@@ -11,10 +11,12 @@ namespace {
 
 constexpr char kMagic[4] = {'A', 'M', 'N', 'B'};
 
+constexpr std::uint64_t kFnvOffset = 0xCBF29CE484222325ull;
+
 std::uint64_t
-fnv1a(const std::uint8_t *data, std::size_t size)
+fnv1a(const std::uint8_t *data, std::size_t size,
+      std::uint64_t h = kFnvOffset)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
     for (std::size_t i = 0; i < size; ++i) {
         h ^= data[i];
         h *= 0x100000001B3ull;
@@ -22,10 +24,16 @@ fnv1a(const std::uint8_t *data, std::size_t size)
     return h;
 }
 
-/** Append-only little-endian writer. */
+/**
+ * Little-endian writer. Given a buffer it appends to it; without one it
+ * only counts the bytes and folds them into an FNV-1a hash, which sizes
+ * the buffer and yields the checksum before anything is stored.
+ */
 class Writer
 {
   public:
+    explicit Writer(std::vector<std::uint8_t> *out = nullptr) : _out(out) {}
+
     template <typename T>
     void
     put(T value)
@@ -33,31 +41,33 @@ class Writer
         static_assert(std::is_trivially_copyable_v<T>);
         std::uint8_t raw[sizeof(T)];
         std::memcpy(raw, &value, sizeof(T));
-        _out.insert(_out.end(), raw, raw + sizeof(T));
+        putBytes(raw, sizeof(T));
     }
 
     void
-    putBytes(const void *data, std::size_t size)
+    putBytes(const void *data, std::size_t n)
     {
         const auto *raw = static_cast<const std::uint8_t *>(data);
-        _out.insert(_out.end(), raw, raw + size);
+        if (_out) {
+            _out->insert(_out->end(), raw, raw + n);
+        } else {
+            size += n;
+            hash = fnv1a(raw, n, hash);
+        }
     }
 
-    std::vector<std::uint8_t> take() { return std::move(_out); }
-    const std::vector<std::uint8_t> &bytes() const { return _out; }
+    std::size_t size = 0;
+    std::uint64_t hash = kFnvOffset;
 
   private:
-    std::vector<std::uint8_t> _out;
+    std::vector<std::uint8_t> *_out;
 };
 
 /** Bounds-checked reader; any overrun latches an error flag. */
 class Reader
 {
   public:
-    explicit Reader(const std::vector<std::uint8_t> &bytes)
-        : _bytes(&bytes)
-    {
-    }
+    explicit Reader(std::span<const std::uint8_t> bytes) : _bytes(bytes) {}
 
     template <typename T>
     T
@@ -65,11 +75,11 @@ class Reader
     {
         static_assert(std::is_trivially_copyable_v<T>);
         T value{};
-        if (_failed || _pos + sizeof(T) > _bytes->size()) {
+        if (_failed || _pos + sizeof(T) > _bytes.size()) {
             _failed = true;
             return value;
         }
-        std::memcpy(&value, _bytes->data() + _pos, sizeof(T));
+        std::memcpy(&value, _bytes.data() + _pos, sizeof(T));
         _pos += sizeof(T);
         return value;
     }
@@ -77,11 +87,11 @@ class Reader
     bool
     getBytes(void *out, std::size_t size)
     {
-        if (_failed || _pos + size > _bytes->size()) {
+        if (_failed || _pos + size > _bytes.size()) {
             _failed = true;
             return false;
         }
-        std::memcpy(out, _bytes->data() + _pos, size);
+        std::memcpy(out, _bytes.data() + _pos, size);
         _pos += size;
         return true;
     }
@@ -90,7 +100,7 @@ class Reader
     std::size_t position() const { return _pos; }
 
   private:
-    const std::vector<std::uint8_t> *_bytes;
+    std::span<const std::uint8_t> _bytes;
     std::size_t _pos = 0;
     bool _failed = false;
 };
@@ -134,12 +144,10 @@ getInstruction(Reader &r, Instruction &instr)
     return !r.failed();
 }
 
-}  // namespace
-
-std::vector<std::uint8_t>
-serializeProgram(const Program &program)
+/** Everything of the format but the trailing checksum. */
+void
+putProgram(Writer &w, const Program &program)
 {
-    Writer w;
     w.putBytes(kMagic, sizeof(kMagic));
     w.put(kProgramFormatVersion);
     w.put(program.codeEnd);
@@ -164,14 +172,34 @@ serializeProgram(const Program &program)
     }
     w.put(static_cast<std::uint32_t>(program.name.size()));
     w.putBytes(program.name.data(), program.name.size());
-    std::uint64_t checksum = fnv1a(w.bytes().data(), w.bytes().size());
-    w.put(checksum);
-    return w.take();
+}
+
+}  // namespace
+
+std::vector<std::uint8_t>
+serializeProgram(const Program &program)
+{
+    Writer measure;
+    putProgram(measure, program);
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(measure.size + sizeof(std::uint64_t));
+    Writer w(&bytes);
+    putProgram(w, program);
+    w.put(measure.hash);
+    return bytes;
+}
+
+std::uint64_t
+serializedDigest(const Program &program)
+{
+    Writer w;
+    putProgram(w, program);
+    w.put(w.hash);  // the checksum is the hash of what precedes it
+    return w.hash;
 }
 
 std::optional<Program>
-deserializeProgram(const std::vector<std::uint8_t> &bytes,
-                   std::string *error)
+deserializeProgram(std::span<const std::uint8_t> bytes, std::string *error)
 {
     auto fail = [error](const char *why) -> std::optional<Program> {
         if (error)
@@ -252,19 +280,31 @@ saveProgram(const Program &program, const std::string &path)
         AMNESIAC_FATAL("write to '" + path + "' failed");
 }
 
+std::optional<std::vector<std::uint8_t>>
+readFileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    if (!in)
+        return std::nullopt;
+    const std::streamoff size = in.tellg();
+    if (size < 0 || !in.seekg(0))
+        return std::nullopt;
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    if (!in.read(reinterpret_cast<char *>(bytes.data()), size))
+        return std::nullopt;
+    return bytes;
+}
+
 std::optional<Program>
 loadProgram(const std::string &path, std::string *error)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::optional<std::vector<std::uint8_t>> bytes = readFileBytes(path);
+    if (!bytes) {
         if (error)
             *error = "cannot open '" + path + "'";
         return std::nullopt;
     }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return deserializeProgram(bytes, error);
+    return deserializeProgram(*bytes, error);
 }
 
 }  // namespace amnesiac

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -25,19 +26,30 @@
 
 namespace amnesiac {
 
-/** Serialize to an in-memory byte buffer. */
+/** Serialize to an in-memory byte buffer, allocated once at its size. */
 std::vector<std::uint8_t> serializeProgram(const Program &program);
+
+/**
+ * FNV-1a of serializeProgram(program)'s bytes, computed without
+ * building them: a multi-megabyte data image costs no buffer.
+ */
+std::uint64_t serializedDigest(const Program &program);
 
 /**
  * Deserialize; returns nullopt (and fills `error` when given) on a
  * malformed buffer: bad magic, unsupported version, truncation,
  * checksum mismatch, or out-of-range enum values.
  */
-std::optional<Program> deserializeProgram(
-    const std::vector<std::uint8_t> &bytes, std::string *error = nullptr);
+std::optional<Program> deserializeProgram(std::span<const std::uint8_t> bytes,
+                                          std::string *error = nullptr);
 
 /** Write a program to a file; fatal on I/O failure. */
 void saveProgram(const Program &program, const std::string &path);
+
+/** A whole file, read into one buffer of its exact size; nullopt when
+ * it cannot be opened or read. */
+std::optional<std::vector<std::uint8_t>> readFileBytes(
+    const std::string &path);
 
 /** Read a program from a file; nullopt on I/O or format errors. */
 std::optional<Program> loadProgram(const std::string &path,

@@ -8,6 +8,8 @@ namespace amnesiac {
 void
 SiteCollector::onRcmp(const RcmpEvent &event)
 {
+    if (event.pc >= _sites.size())
+        _sites.resize(std::size_t{event.pc} + 1);
     SiteStats &s = _sites[event.pc];
     s.pc = event.pc;
     s.sliceId = event.sliceId;
@@ -38,9 +40,9 @@ std::vector<SiteStats>
 SiteCollector::sites() const
 {
     std::vector<SiteStats> out;
-    out.reserve(_sites.size());
-    for (const auto &[pc, stats] : _sites)
-        out.push_back(stats);
+    for (const SiteStats &stats : _sites)
+        if (stats.instances() > 0)
+            out.push_back(stats);
     return out;
 }
 

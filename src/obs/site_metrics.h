@@ -17,7 +17,6 @@
 #define AMNESIAC_OBS_SITE_METRICS_H
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -47,22 +46,20 @@ struct SiteStats
 };
 
 /**
- * Collects SiteStats from the machine's trace hooks. Deterministic:
- * sites() returns rows keyed (hence ordered) by pc, and every field
- * derives from the simulated event stream only.
+ * Collects SiteStats from the machine's trace hooks into a table indexed
+ * by RCMP pc. Deterministic: sites() returns rows in pc order, and
+ * every field derives from the simulated event stream only.
  */
 class SiteCollector : public AmnesicTraceHooks
 {
   public:
     void onRcmp(const RcmpEvent &event) override;
 
-    /** All observed sites in ascending pc order. */
+    /** All observed sites (instances() > 0) in ascending pc order. */
     std::vector<SiteStats> sites() const;
 
-    void clear() { _sites.clear(); }
-
   private:
-    std::map<std::uint32_t, SiteStats> _sites;
+    std::vector<SiteStats> _sites;  ///< indexed by pc
 };
 
 /**

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/logging.h"
-
 namespace amnesiac {
 
 double
@@ -34,6 +32,22 @@ SiteProfile::stability() const
     return static_cast<double>(best->count) / static_cast<double>(count);
 }
 
+double
+SiteProfile::valueLocalityPercent() const
+{
+    if (count < 2)
+        return 0.0;
+    return 100.0 * static_cast<double>(repeats) /
+           static_cast<double>(count - 1);
+}
+
+OperandLiveStat
+SiteProfile::operandLive(std::uint32_t node_pc, int k) const
+{
+    std::size_t i = 2 * std::size_t{node_pc} + static_cast<std::size_t>(k);
+    return i < liveStats.size() ? liveStats[i] : OperandLiveStat{};
+}
+
 Profiler::Profiler(const ProfilerConfig &config) : _config(config) {}
 
 void
@@ -60,6 +74,10 @@ void
 Profiler::onExec(const ExecutionEngine &m, std::uint32_t pc,
                  const Instruction &instr)
 {
+    if (_execCounts.empty()) {  // first callback: size the per-pc tables
+        _execCounts.assign(m.program().code.size(), 0);
+        _sites.resize(m.program().code.size());
+    }
     ++_execCounts[pc];
     mirrorExec(_tracker, _config, m, pc, instr);
 }
@@ -68,10 +86,11 @@ void
 Profiler::onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced)
 {
-    (void)m;
-    _values.record(pc, value);
     SiteProfile &site = _sites[pc];
     site.pc = pc;
+    if (site.count > 0 && site.lastValue == value)
+        ++site.repeats;
+    site.lastValue = value;
     ++site.count;
     ++site.byLevel[static_cast<std::size_t>(serviced)];
 
@@ -105,6 +124,8 @@ Profiler::onStore(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr
 namespace {
 
 constexpr std::uint64_t kSigPrime = 0x100000001B3ull;
+/** Signature of a subtree cut by the depth cap or the node budget. */
+constexpr std::uint64_t kSigCut = 0x22ull;
 
 std::uint64_t
 sigMix(std::uint64_t h, std::uint64_t v)
@@ -113,54 +134,18 @@ sigMix(std::uint64_t h, std::uint64_t v)
     return h * kSigPrime;
 }
 
-/**
- * Structural signature of the slice the builder would construct at
- * this instant: recursion stops at operands whose register currently
- * holds the produced input value (a Live cut) — otherwise chains
- * through loop-carried state would make every dynamic tree look
- * different even though the buildable slice is identical.
- */
-std::uint64_t
-liveCutSignature(const ExecutionEngine &m, const DepTracker &tracker,
-                 NodeId id, int depth_left, int &nodes_left)
-{
-    if (id == kNoNode)
-        return 0x11ull;
-    if (depth_left == 0 || nodes_left <= 0)
-        return 0x22ull;
-    --nodes_left;
-    const ProducerNode &node = tracker.node(id);
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    h = sigMix(h, static_cast<std::uint64_t>(node.kind));
-    h = sigMix(h, node.pc);
-    h = sigMix(h, static_cast<std::uint64_t>(node.op));
-    auto operand = [&](Reg read_reg, NodeId p) -> std::uint64_t {
-        if (p != kNoNode) {
-            if (m.reg(read_reg) == tracker.node(p).value)
-                return 0x33ull;  // Live cut
-            return liveCutSignature(m, tracker, p, depth_left - 1,
-                                    nodes_left);
-        }
-        // Untracked origin: live while the register is untouched.
-        return tracker.regProducer(read_reg) != kNoNode ? 0x11ull : 0x33ull;
-    };
-    if (node.fanIn() >= 1)
-        h = sigMix(h, operand(node.rs1, node.in1));
-    if (node.fanIn() >= 2)
-        h = sigMix(h, operand(node.rs2, node.in2));
-    return h;
-}
-
 }  // namespace
 
 void
 Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
                       NodeId root)
 {
+    if (site.liveStats.empty())
+        site.liveStats.resize(2 * m.program().code.size());
     int sig_nodes_left = _config.maxTreeNodes;
-    std::uint64_t sig = liveCutSignature(m, _tracker, root,
-                                         _config.maxTreeDepth,
-                                         sig_nodes_left);
+    int live_nodes_left = _config.maxTreeNodes;
+    std::uint64_t sig = walkTree(m, site, root, _config.maxTreeDepth,
+                                 sig_nodes_left, live_nodes_left);
     auto it = std::find_if(site.trees.begin(), site.trees.end(),
                            [sig](const CandidateTree &t) {
                                return t.signature == sig;
@@ -173,80 +158,102 @@ Profiler::analyzeTree(const ExecutionEngine &m, SiteProfile &site,
     } else {
         site.treeOverflow = true;
     }
-
-    int nodes_left = _config.maxTreeNodes;
-    collectLiveStats(m, site, root, _config.maxTreeDepth, nodes_left);
 }
 
-void
-Profiler::collectLiveStats(const ExecutionEngine &m, SiteProfile &site,
-                           NodeId id, int depth_left, int &nodes_left)
+/**
+ * One walk over an instance's tree that yields both the live-cut
+ * signature (returned) and the site's live-operand statistics.
+ *
+ * The signature is the structural shape of the slice the builder would
+ * construct at this instant: recursion stops at operands whose register
+ * currently holds the produced input value (a Live cut) — otherwise
+ * chains through loop-carried state would make every dynamic tree look
+ * different even though the buildable slice is identical. The live
+ * statistics count, per (production site, operand), how often that cut
+ * held; nothing below a cut can end up in the slice on this instance,
+ * so they stop there too.
+ *
+ * The two share the depth cap but keep separate node budgets: the
+ * signature charges every node it enters, the statistics only ALU
+ * nodes. Both visit nodes in the same order, so the signature's budget
+ * never outlasts the statistics' one; past it the walk continues for the
+ * statistics alone and the signature sees the budget marker.
+ */
+std::uint64_t
+Profiler::walkTree(const ExecutionEngine &m, SiteProfile &site, NodeId id,
+                   int depth_left, int &sig_nodes_left, int &live_nodes_left)
 {
-    if (id == kNoNode || depth_left == 0 || nodes_left <= 0)
-        return;
+    if (depth_left == 0)
+        return kSigCut;
     const ProducerNode &node = _tracker.node(id);
-    if (node.kind != ProducerNode::Kind::Alu)
-        return;
-    --nodes_left;
+    const bool sig = sig_nodes_left > 0;
+    std::uint64_t h = kSigCut;
+    if (sig) {
+        --sig_nodes_left;
+        h = 0xCBF29CE484222325ull;
+        h = sigMix(h, static_cast<std::uint64_t>(node.kind));
+        h = sigMix(h, node.pc);
+        h = sigMix(h, static_cast<std::uint64_t>(node.op));
+    }
+    // Only ALU nodes carry operands (fanIn() is 0 for the others).
+    if (node.kind != ProducerNode::Kind::Alu || live_nodes_left <= 0)
+        return h;
+    --live_nodes_left;
 
-    auto record = [&](int idx, Reg read_reg, NodeId producer) {
-        OperandLiveStat &stat = site.operandLive[operandKey(node.pc, idx)];
-        ++stat.seen;
+    const int fan_in = node.fanIn();
+    for (int k = 0; k < fan_in; ++k) {
+        const Reg read_reg = k == 0 ? node.rs1 : node.rs2;
+        const NodeId producer = k == 0 ? node.in1 : node.in2;
         // Live sourcing is legal for this instance iff the register the
         // replica would read holds the value the production consumed —
         // whether because it was never overwritten or because the code
         // re-produced the same value (e.g. an index recomputed by the
         // consumer loop). Untracked origins count as live only while
         // the register is still untouched.
-        if (producer != kNoNode) {
-            if (m.reg(read_reg) == _tracker.node(producer).value) {
-                ++stat.matches;
-                return true;
-            }
-            return false;
-        }
-        if (_tracker.regProducer(read_reg) == kNoNode) {
+        const bool live = producer != kNoNode
+            ? m.reg(read_reg) == _tracker.node(producer).value
+            : _tracker.regProducer(read_reg) == kNoNode;
+        OperandLiveStat &stat =
+            site.liveStats[2 * std::size_t{node.pc} +
+                           static_cast<std::size_t>(k)];
+        ++stat.seen;
+        std::uint64_t sub;
+        if (live) {
             ++stat.matches;
-            return true;
+            sub = 0x33ull;  // Live cut
+        } else if (producer == kNoNode) {
+            sub = 0x11ull;  // untracked origin, register overwritten
+        } else {
+            sub = walkTree(m, site, producer, depth_left - 1,
+                           sig_nodes_left, live_nodes_left);
         }
-        return false;
-    };
-
-    // Recursion mirrors the builder: a Live-matched operand is a cut —
-    // nothing below it can end up in the slice on this instance.
-    int fan_in = node.fanIn();
-    if (fan_in >= 1 && !record(0, node.rs1, node.in1))
-        collectLiveStats(m, site, node.in1, depth_left - 1, nodes_left);
-    if (fan_in >= 2 && !record(1, node.rs2, node.in2))
-        collectLiveStats(m, site, node.in2, depth_left - 1, nodes_left);
+        if (sig)
+            h = sigMix(h, sub);
+    }
+    return h;
 }
 
 const SiteProfile *
 Profiler::site(std::uint32_t pc) const
 {
-    auto it = _sites.find(pc);
-    return it == _sites.end() ? nullptr : &it->second;
+    return pc < _sites.size() && _sites[pc].count > 0 ? &_sites[pc]
+                                                      : nullptr;
 }
 
 std::vector<const SiteProfile *>
 Profiler::sites() const
 {
     std::vector<const SiteProfile *> result;
-    result.reserve(_sites.size());
-    for (const auto &[pc, profile] : _sites)
-        result.push_back(&profile);
-    std::sort(result.begin(), result.end(),
-              [](const SiteProfile *a, const SiteProfile *b) {
-                  return a->pc < b->pc;
-              });
+    for (const SiteProfile &site : _sites)
+        if (site.count > 0)
+            result.push_back(&site);
     return result;
 }
 
 std::uint64_t
 Profiler::execCount(std::uint32_t pc) const
 {
-    auto it = _execCounts.find(pc);
-    return it == _execCounts.end() ? 0 : it->second;
+    return pc < _execCounts.size() ? _execCounts[pc] : 0;
 }
 
 }  // namespace amnesiac

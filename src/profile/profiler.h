@@ -2,7 +2,11 @@
  * @file
  * Runtime profiler (the paper's Pin-based profiling pass, §4): per-load
  * residence statistics (Pr_Li, §3.1.1), dynamic backward-slice shapes and
- * their stability, live-operand statistics, and value locality.
+ * their stability, live-operand statistics, and value locality (§5.6).
+ *
+ * Every per-instruction table is a plain vector indexed by pc, sized
+ * from the program at the first callback: programs hold at most a few
+ * hundred static instructions, so dense tables beat hashing.
  */
 
 #ifndef AMNESIAC_PROFILE_PROFILER_H
@@ -10,11 +14,9 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "profile/dep_tracker.h"
-#include "profile/value_locality.h"
 #include "sim/machine.h"
 
 namespace amnesiac {
@@ -54,14 +56,6 @@ struct CandidateTree
     NodeId representative = kNoNode;
 };
 
-/** Live-operand statistics key: (node pc, operand index). */
-inline std::uint64_t
-operandKey(std::uint32_t node_pc, int operand_idx)
-{
-    return (static_cast<std::uint64_t>(node_pc) << 8) |
-           static_cast<std::uint64_t>(operand_idx);
-}
-
 /**
  * How often a boundary operand's register held the produced input
  * *value* at load time (→ Live sourcing legality, §2.2 case ii).
@@ -94,7 +88,17 @@ struct SiteProfile
     bool treeOverflow = false;
     /** Instances whose loaded value had no sliceable producer. */
     std::uint64_t untracked = 0;
-    std::unordered_map<std::uint64_t, OperandLiveStat> operandLive;
+    /** Value of the latest instance, and instances that repeated the
+     * value of the one before (§5.6 last-value locality). */
+    std::uint64_t lastValue = 0;
+    std::uint64_t repeats = 0;
+    /** Live-operand statistics indexed 2 * node pc + operand index;
+     * allocated at the site's first tree analysis. */
+    std::vector<OperandLiveStat> liveStats;
+
+    /** Live statistics of operand k of the production at node_pc
+     * (all zero when never seen). */
+    OperandLiveStat operandLive(std::uint32_t node_pc, int k) const;
 
     /** Pr_Li: probability the load is serviced at a level (§3.1.1). */
     double prLevel(MemLevel level) const;
@@ -104,6 +108,13 @@ struct SiteProfile
 
     /** Share of instances matching the top tree shape. */
     double stability() const;
+
+    /**
+     * Value locality in percent: 100 * (instances equal to the previous
+     * instance's value) / (instances after the first); 0 for a site
+     * that ran fewer than twice.
+     */
+    double valueLocalityPercent() const;
 };
 
 /**
@@ -132,13 +143,6 @@ class Profiler : public MachineObserver
     /** Dynamic execution count of any static instruction. */
     std::uint64_t execCount(std::uint32_t pc) const;
 
-    /** Value locality of a load site in percent (§5.6). */
-    double valueLocalityPercent(std::uint32_t pc) const
-    {
-        return _values.localityPercent(pc);
-    }
-
-    const ValueLocalityProfiler &valueLocality() const { return _values; }
     /** The tracker owning every candidate tree's representative nodes. */
     const DepTracker &tracker() const { return _tracker; }
 
@@ -154,14 +158,16 @@ class Profiler : public MachineObserver
   private:
     void analyzeTree(const ExecutionEngine &m, SiteProfile &site,
                      NodeId root);
-    void collectLiveStats(const ExecutionEngine &m, SiteProfile &site,
-                          NodeId node, int depth_left, int &nodes_left);
+    std::uint64_t walkTree(const ExecutionEngine &m, SiteProfile &site,
+                           NodeId id, int depth_left, int &sig_nodes_left,
+                           int &live_nodes_left);
 
     ProfilerConfig _config;
     DepTracker _tracker;
-    ValueLocalityProfiler _values;
-    std::unordered_map<std::uint32_t, SiteProfile> _sites;
-    std::unordered_map<std::uint32_t, std::uint64_t> _execCounts;
+    /** Indexed by pc, sized at the first onExec (which precedes every
+     * onLoad). A site with count == 0 never executed. */
+    std::vector<SiteProfile> _sites;
+    std::vector<std::uint64_t> _execCounts;
 };
 
 }  // namespace amnesiac

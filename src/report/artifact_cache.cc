@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <type_traits>
 #include <unistd.h>
 
@@ -42,7 +43,7 @@ class Writer
         _out.insert(_out.end(), raw, raw + size);
     }
 
-    std::vector<std::uint8_t> take() { return std::move(_out); }
+    void reserve(std::size_t size) { _out.reserve(size); }
     const std::vector<std::uint8_t> &bytes() const { return _out; }
 
   private:
@@ -83,6 +84,19 @@ class Reader
         std::memcpy(out, _bytes->data() + _pos, size);
         _pos += size;
         return true;
+    }
+
+    /** The next `size` bytes in place; empty (and failed) past the end. */
+    std::span<const std::uint8_t>
+    view(std::size_t size)
+    {
+        if (_failed || _pos + size > _bytes->size()) {
+            _failed = true;
+            return {};
+        }
+        std::span<const std::uint8_t> out(_bytes->data() + _pos, size);
+        _pos += size;
+        return out;
     }
 
     std::size_t remaining() const
@@ -238,10 +252,7 @@ ArtifactCache::key(const Program &program, const EnergyConfig &e,
         s += buf;
     };
 
-    std::vector<std::uint8_t> bytes = serializeProgram(program);
-    u64("program", fnv1aDigest(std::string_view(
-                       reinterpret_cast<const char *>(bytes.data()),
-                       bytes.size())));
+    u64("program", serializedDigest(program));
     u64("amnbVersion", kProgramFormatVersion);
     u64("cacheVersion", kArtifactCacheVersion);
 
@@ -310,14 +321,11 @@ ArtifactCache::load(std::uint64_t key) const
 std::optional<CompileResult>
 ArtifactCache::loadValidated(std::uint64_t key) const
 {
-    std::ifstream in(entryPath(key), std::ios::binary);
-    if (!in)
+    std::optional<std::vector<std::uint8_t>> file =
+        readFileBytes(entryPath(key));
+    if (!file)
         return std::nullopt;
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    if (!in.good() && !in.eof())
-        return std::nullopt;
+    const std::vector<std::uint8_t> &bytes = *file;
 
     // Whole-entry checksum first: any truncation or bit flip below the
     // trailing u64 fails here, before field-level parsing.
@@ -344,8 +352,9 @@ ArtifactCache::loadValidated(std::uint64_t key) const
     std::uint64_t amnb_len = r.get<std::uint64_t>();
     if (r.failed() || amnb_len > r.remaining())
         return std::nullopt;
-    std::vector<std::uint8_t> amnb(static_cast<std::size_t>(amnb_len));
-    if (!r.getBytes(amnb.data(), amnb.size()))
+    std::span<const std::uint8_t> amnb =
+        r.view(static_cast<std::size_t>(amnb_len));
+    if (r.failed())
         return std::nullopt;
     std::optional<Program> program = deserializeProgram(amnb);
     if (!program)
@@ -370,17 +379,24 @@ void
 ArtifactCache::store(std::uint64_t key, const CompileResult &result) const
 {
     ScopedSpan span("cache:publish");
+    std::vector<std::uint8_t> amnb = serializeProgram(result.program);
+    Writer tail;
+    putStats(tail, result.stats);
+    tail.put(static_cast<std::uint64_t>(result.slices.size()));
+    for (const RSlice &slice : result.slices)
+        putSlice(tail, slice);
+
+    // One allocation at the entry's final size.
     Writer w;
+    w.reserve(sizeof(kMagic) + sizeof(kArtifactCacheVersion) +
+              2 * sizeof(std::uint64_t) + amnb.size() + tail.bytes().size() +
+              sizeof(std::uint64_t));
     w.putBytes(kMagic, sizeof(kMagic));
     w.put(kArtifactCacheVersion);
     w.put(key);
-    std::vector<std::uint8_t> amnb = serializeProgram(result.program);
     w.put(static_cast<std::uint64_t>(amnb.size()));
     w.putBytes(amnb.data(), amnb.size());
-    putStats(w, result.stats);
-    w.put(static_cast<std::uint64_t>(result.slices.size()));
-    for (const RSlice &slice : result.slices)
-        putSlice(w, slice);
+    w.putBytes(tail.bytes().data(), tail.bytes().size());
     w.put(fnv1aDigest(std::string_view(
         reinterpret_cast<const char *>(w.bytes().data()),
         w.bytes().size())));

@@ -232,7 +232,6 @@ class ExecutionEngine
     ExecutionObserver *observer() { return _observer; }
     SimStats &mutableStats() { return _stats; }
     void setPc(std::uint32_t pc) { _pc = pc; }
-    void haltNow() { _halted = true; }
 
   private:
     void execOne(const Instruction &instr);

@@ -99,10 +99,4 @@ debug(const std::string &msg)
     detail::emit(LogLevel::Debug, msg);
 }
 
-bool
-logEnabled(LogLevel level)
-{
-    return level >= detail::threshold();
-}
-
 }  // namespace amnesiac

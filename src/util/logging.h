@@ -46,9 +46,6 @@ void warn(const std::string &msg);
  * AMNESIAC_LOG enables the Debug level. */
 void debug(const std::string &msg);
 
-/** True when `level` passes the AMNESIAC_LOG threshold (read once,
- * at first use; defaults to Inform). */
-bool logEnabled(LogLevel level);
 
 /** Abort with an internal-bug message. */
 #define AMNESIAC_PANIC(msg)                                                 \

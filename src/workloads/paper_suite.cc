@@ -199,14 +199,4 @@ makePaperBenchmark(const std::string &name, std::uint64_t seed)
     return buildWorkload(specFor(name, seed));
 }
 
-std::vector<Workload>
-makePaperSuite(std::uint64_t seed)
-{
-    std::vector<Workload> suite;
-    suite.reserve(paperBenchmarkNames().size());
-    for (const std::string &name : paperBenchmarkNames())
-        suite.push_back(makePaperBenchmark(name, seed));
-    return suite;
-}
-
 }  // namespace amnesiac

@@ -28,9 +28,6 @@ WorkloadSpec paperBenchmarkSpec(const std::string &name,
 Workload makePaperBenchmark(const std::string &name,
                             std::uint64_t seed = 1);
 
-/** Build the whole 11-benchmark suite. */
-std::vector<Workload> makePaperSuite(std::uint64_t seed = 1);
-
 }  // namespace amnesiac
 
 #endif  // AMNESIAC_WORKLOADS_PAPER_SUITE_H

@@ -15,7 +15,9 @@
  *      including the truncation-marker and shared-budget paths;
  *  (d) the tracker's steady state performs zero heap allocations — the
  *      free-list arena must recycle dead subgraphs instead of touching
- *      operator new (the perf contract behind the profiling speedup).
+ *      operator new (the perf contract behind the profiling speedup) —
+ *      and so do the full profiler and the dry-run validator, whose
+ *      per-pc tables are sized up front.
  */
 
 #include <gtest/gtest.h>
@@ -29,6 +31,8 @@
 
 #include "core/amnesic_machine.h"
 #include "core/compiler.h"
+#include "core/dry_run.h"
+#include "isa/program_builder.h"
 #include "profile/profiler.h"
 #include "report/experiment.h"
 #include "sim/machine.h"
@@ -414,6 +418,114 @@ TEST(PerfPaths, DepTrackerSteadyStateIsAllocationFree)
         << "DepTracker steady state performed " << (after - before)
         << " heap allocations over 2048 iterations";
     EXPECT_GT(t.productions(), 0u);
+}
+
+
+/** Heap allocations made while stepping `m` for `steps` instructions;
+ * the machine must still be running afterwards. */
+std::uint64_t
+allocationsOverSteps(Machine &m, int steps)
+{
+    const std::uint64_t before = g_newCalls.load(std::memory_order_relaxed);
+    for (int i = 0; i < steps; ++i)
+        EXPECT_TRUE(m.step());
+    return g_newCalls.load(std::memory_order_relaxed) - before;
+}
+
+TEST(PerfPaths, ProfilerSteadyStateIsAllocationFree)
+{
+    // Each iteration reloads a word of an 8-word ring, folds the loop
+    // index into it, and stores it back: every load has a tracked tree
+    // (after the first lap) with Live and clobbered operands, and the
+    // trees keep changing shape until the site's tree list is full.
+    ProgramBuilder b("profiler-steady");
+    std::uint64_t a = b.allocWords(8);
+    b.li(1, a);
+    b.li(2, 0);
+    b.li(3, 1);
+    b.li(4, 1u << 20);
+    b.li(9, 7);
+    b.li(10, 3);
+    auto top = b.newLabel();
+    b.bind(top);
+    b.alu(Opcode::And, 5, 2, 9);
+    b.alu(Opcode::Shl, 5, 5, 10);
+    b.alu(Opcode::Add, 5, 5, 1);
+    b.ld(6, 5);
+    b.alu(Opcode::Mul, 7, 2, 3);
+    b.alu(Opcode::Add, 7, 7, 6);
+    b.st(5, 0, 7);
+    b.alu(Opcode::Add, 2, 2, 3);
+    b.blt(2, 4, top);
+    b.halt();
+    Program p = b.finish();
+
+    Profiler profiler;
+    Machine m(p, EnergyModel{});
+    m.setObserver(&profiler);
+    allocationsOverSteps(m, 50000);  // warm-up
+    const std::uint64_t allocs = allocationsOverSteps(m, 50000);
+    EXPECT_EQ(allocs, 0u) << "Profiler steady state performed " << allocs
+                          << " heap allocations over 50000 instructions";
+    ASSERT_EQ(profiler.sites().size(), 1u);
+    EXPECT_GT(profiler.sites()[0]->trees.size(), 0u);
+}
+
+TEST(PerfPaths, DryRunValidatorSteadyStateIsAllocationFree)
+{
+    // v = x * x + 1 with x clobbered before the load: a two-instruction
+    // candidate with a Hist-checkpointed leaf, a Slice operand and a
+    // Live operand, evaluated at every iteration.
+    ProgramBuilder b("dryrun-steady");
+    std::uint64_t a = b.allocWords(1);
+    b.li(1, a);
+    b.li(6, 0);
+    b.li(7, 1);
+    b.li(8, 1u << 20);
+    auto top = b.newLabel();
+    b.bind(top);
+    b.alu(Opcode::Add, 2, 6, 7);
+    std::uint32_t mul_pc = b.alu(Opcode::Mul, 3, 2, 2);
+    std::uint32_t add_pc = b.alu(Opcode::Add, 3, 3, 7);
+    b.st(1, 0, 3);
+    b.li(2, 0);
+    std::uint32_t load_pc = b.ld(4, 1);
+    b.alu(Opcode::Add, 6, 6, 7);
+    b.blt(6, 8, top);
+    b.halt();
+    Program p = b.finish();
+
+    RSlice slice;
+    slice.loadPc = load_pc;
+    SliceInstr mul;
+    mul.op = Opcode::Mul;
+    mul.origPc = mul_pc;
+    mul.rd = 3;
+    mul.numOps = 2;
+    mul.ops[0] = {OperandSource::Hist, 2, -1};
+    mul.ops[1] = {OperandSource::Hist, 2, -1};
+    SliceInstr add;
+    add.op = Opcode::Add;
+    add.origPc = add_pc;
+    add.rd = 3;
+    add.numOps = 2;
+    add.ops[0] = {OperandSource::Slice, 3, 0};
+    add.ops[1] = {OperandSource::Live, 7, -1};
+    slice.instrs = {mul, add};
+    slice.computeStats();
+    std::vector<RSlice> candidates{slice};
+
+    DryRunValidator validator(candidates);
+    Machine m(p, EnergyModel{});
+    m.setObserver(&validator);
+    allocationsOverSteps(m, 10000);  // warm-up
+    const std::uint64_t allocs = allocationsOverSteps(m, 50000);
+    EXPECT_EQ(allocs, 0u) << "DryRunValidator steady state performed "
+                          << allocs
+                          << " heap allocations over 50000 instructions";
+    const DryRunSiteResult &result = validator.result(load_pc);
+    EXPECT_GT(result.evaluated, 0u);
+    EXPECT_EQ(result.matched, result.evaluated);
 }
 
 }  // namespace

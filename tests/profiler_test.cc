@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "isa/program_builder.h"
 #include "profile/profiler.h"
 
@@ -19,6 +22,21 @@ runProfiled(const Program &p, Profiler &profiler)
     Machine m(p, EnergyModel{});
     m.setObserver(&profiler);
     m.run();
+}
+
+/** Live-operand statistics of operand k of the production at pc. */
+OperandLiveStat
+liveStat(const SiteProfile &site, std::uint32_t pc, int k)
+{
+    return site.operandLive(pc, k);
+}
+
+/** Value locality of a load site in percent (0 when never executed). */
+double
+localityPercent(const Profiler &profiler, std::uint32_t pc)
+{
+    const SiteProfile *site = profiler.site(pc);
+    return site ? site->valueLocalityPercent() : 0.0;
 }
 
 TEST(Profiler, ResidenceStatisticsPerSite)
@@ -74,9 +92,9 @@ TEST(Profiler, CapturesProducerTreeAndLiveOperands)
     ASSERT_NE(top->representative, kNoNode);
     EXPECT_EQ(profiler.tracker().node(top->representative).pc, add_pc);
     // Both operands of the producer read r2, which still holds x = 5.
-    auto it = site->operandLive.find(operandKey(add_pc, 0));
-    ASSERT_NE(it, site->operandLive.end());
-    EXPECT_DOUBLE_EQ(it->second.rate(), 1.0);
+    OperandLiveStat stat = liveStat(*site, add_pc, 0);
+    ASSERT_GT(stat.seen, 0u);
+    EXPECT_DOUBLE_EQ(stat.rate(), 1.0);
 }
 
 TEST(Profiler, DetectsClobberedOperandAsNonLive)
@@ -95,9 +113,9 @@ TEST(Profiler, DetectsClobberedOperandAsNonLive)
     runProfiled(p, profiler);
     const SiteProfile *site = profiler.site(load_pc);
     ASSERT_NE(site, nullptr);
-    auto it = site->operandLive.find(operandKey(add_pc, 0));
-    ASSERT_NE(it, site->operandLive.end());
-    EXPECT_DOUBLE_EQ(it->second.rate(), 0.0);
+    OperandLiveStat stat = liveStat(*site, add_pc, 0);
+    ASSERT_GT(stat.seen, 0u);
+    EXPECT_DOUBLE_EQ(stat.rate(), 0.0);
 }
 
 TEST(Profiler, ReProducedValueCountsAsLive)
@@ -117,10 +135,9 @@ TEST(Profiler, ReProducedValueCountsAsLive)
     Program p = b.finish();
     Profiler profiler;
     runProfiled(p, profiler);
-    auto it = profiler.site(load_pc)->operandLive.find(
-        operandKey(add_pc, 0));
-    ASSERT_NE(it, profiler.site(load_pc)->operandLive.end());
-    EXPECT_DOUBLE_EQ(it->second.rate(), 1.0);
+    OperandLiveStat stat = liveStat(*profiler.site(load_pc), add_pc, 0);
+    ASSERT_GT(stat.seen, 0u);
+    EXPECT_DOUBLE_EQ(stat.rate(), 1.0);
 }
 
 TEST(Profiler, StabilityDropsWhenProducersAlternate)
@@ -212,8 +229,103 @@ TEST(Profiler, ValueLocalityIsRecorded)
     Program p = b.finish();
     Profiler profiler;
     runProfiled(p, profiler);
-    EXPECT_DOUBLE_EQ(profiler.valueLocality().localityPercent(load_pc),
-                     100.0);
+    EXPECT_DOUBLE_EQ(localityPercent(profiler, load_pc), 100.0);
+}
+
+/**
+ * A three-add chain over four program inputs (InputLoad leaves), stored
+ * and reloaded three times with r2..r4 and r6 clobbered, so only r5 is
+ * a Live cut. The signature walk charges every node it enters (adds and
+ * InputLoads), the live statistics charge only the adds, and both share
+ * the depth cap.
+ */
+struct InputChain
+{
+    Program program;
+    std::uint32_t add1 = 0, add2 = 0, add3 = 0, load = 0;
+};
+
+InputChain
+inputChain()
+{
+    InputChain c;
+    ProgramBuilder b("input-chain");
+    std::uint64_t a = b.allocWords(5);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        b.poke(a + 8 * i, 10 + i);
+    b.li(1, a);
+    b.li(8, 0);
+    b.li(9, 1);
+    b.li(10, 3);
+    auto top = b.newLabel();
+    b.bind(top);
+    b.ld(2, 1, 0);
+    b.ld(3, 1, 8);
+    b.ld(4, 1, 16);
+    b.ld(5, 1, 24);
+    c.add1 = b.alu(Opcode::Add, 6, 2, 3);
+    c.add2 = b.alu(Opcode::Add, 6, 6, 4);
+    c.add3 = b.alu(Opcode::Add, 6, 6, 5);
+    b.st(1, 32, 6);
+    b.li(2, 0);
+    b.li(3, 0);
+    b.li(4, 0);
+    b.li(6, 0);
+    c.load = b.ld(7, 1, 32);
+    b.alu(Opcode::Add, 8, 8, 9);
+    b.blt(8, 10, top);
+    b.halt();
+    c.program = b.finish();
+    return c;
+}
+
+TEST(Profiler, SignatureBudgetRunsOutBeforeLiveBudget)
+{
+    InputChain c = inputChain();
+    auto profile = [&](int max_nodes) {
+        ProfilerConfig config;
+        config.maxTreeNodes = max_nodes;
+        auto profiler = std::make_unique<Profiler>(config);
+        runProfiled(c.program, *profiler);
+        return profiler;
+    };
+
+    // Budget 4: the signature enters add3, add2, add1 and the r2 input,
+    // then cuts the r3/r4 inputs with the budget marker; the live walk
+    // has charged only the three adds and records every operand.
+    auto four = profile(4);
+    const SiteProfile *site = four->site(c.load);
+    ASSERT_NE(site, nullptr);
+    ASSERT_EQ(site->trees.size(), 1u);
+    EXPECT_EQ(site->trees[0].count, 3u);
+    EXPECT_EQ(site->trees[0].signature, 0xfee87fd0dc9c202dull);
+    for (std::uint32_t pc : {c.add1, c.add2, c.add3}) {
+        for (int k = 0; k < 2; ++k) {
+            SCOPED_TRACE("pc " + std::to_string(pc) + " operand " +
+                         std::to_string(k));
+            OperandLiveStat stat = liveStat(*site, pc, k);
+            EXPECT_EQ(stat.seen, 3u);
+            // Only r5 (add3's second operand) still holds its input.
+            EXPECT_EQ(stat.matches, pc == c.add3 && k == 1 ? 3u : 0u);
+        }
+    }
+
+    // Budget 2: both walks stop below add2; add1's operands are never
+    // seen, and the signature differs from the budget-4 one.
+    auto two = profile(2);
+    const SiteProfile *cut = two->site(c.load);
+    ASSERT_NE(cut, nullptr);
+    ASSERT_EQ(cut->trees.size(), 1u);
+    EXPECT_EQ(cut->trees[0].signature, 0x5bfebe082cd1dbebull);
+    EXPECT_EQ(liveStat(*cut, c.add1, 0).seen, 0u);
+    EXPECT_EQ(liveStat(*cut, c.add1, 1).seen, 0u);
+    EXPECT_EQ(liveStat(*cut, c.add2, 0).seen, 3u);
+    EXPECT_EQ(liveStat(*cut, c.add3, 1).matches, 3u);
+
+    // The default budget covers the whole tree.
+    auto full = profile(ProfilerConfig{}.maxTreeNodes);
+    EXPECT_EQ(full->site(c.load)->trees[0].signature,
+              0x56f41f73bf663757ull);
 }
 
 }  // namespace

@@ -124,6 +124,21 @@ TEST(Serialize, AmnesicRoundTripStaysWellFormedAndRunnable)
     EXPECT_EQ(a.stats().recomputations, b.stats().recomputations);
 }
 
+TEST(Serialize, ExactSizeBufferAndBufferlessDigest)
+{
+    for (const Program &p : {classicProgram(), amnesicProgram()}) {
+        auto bytes = serializeProgram(p);
+        // Sized before writing: one allocation, no growth.
+        EXPECT_EQ(bytes.capacity(), bytes.size());
+        std::uint64_t fnv = 0xCBF29CE484222325ull;
+        for (std::uint8_t byte : bytes) {
+            fnv ^= byte;
+            fnv *= 0x100000001B3ull;
+        }
+        EXPECT_EQ(serializedDigest(p), fnv);
+    }
+}
+
 TEST(Serialize, RejectsCorruption)
 {
     auto bytes = serializeProgram(classicProgram());

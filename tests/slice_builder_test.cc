@@ -12,6 +12,15 @@
 namespace amnesiac {
 namespace {
 
+/** SliceBuilder keeps a pointer to its energy model, so the model must
+ * outlive the builder (a temporary would dangle). */
+const EnergyModel &
+energy()
+{
+    static const EnergyModel model;
+    return model;
+}
+
 struct Profiled
 {
     Program program;
@@ -64,7 +73,7 @@ makeProfiled(int chain_len, bool clobber_x)
 TEST(SliceBuilder, BuildsFullChainUnderGenerousBudget)
 {
     Profiled p = makeProfiled(4, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     const SiteProfile *site = p.profiler.site(p.loadPc);
     ASSERT_NE(site, nullptr);
     auto slice = builder.build(*site, 100.0, p.profiler);
@@ -78,7 +87,7 @@ TEST(SliceBuilder, BuildsFullChainUnderGenerousBudget)
 TEST(SliceBuilder, TopologicalProducerIndexes)
 {
     Profiled p = makeProfiled(5, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 100.0,
                                p.profiler);
     ASSERT_TRUE(slice.has_value());
@@ -96,7 +105,7 @@ TEST(SliceBuilder, TopologicalProducerIndexes)
 TEST(SliceBuilder, ClobberedInputBecomesHistLeaf)
 {
     Profiled p = makeProfiled(3, true);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 100.0,
                                p.profiler);
     ASSERT_TRUE(slice.has_value());
@@ -114,7 +123,7 @@ TEST(SliceBuilder, ClobberedInputBecomesHistLeaf)
 TEST(SliceBuilder, ReturnsNothingWhenBudgetTooSmall)
 {
     Profiled p = makeProfiled(6, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     // Budget below even a single-instruction slice (root + RCMP + RTN).
     auto slice = builder.build(*p.profiler.site(p.loadPc), 0.5,
                                p.profiler);
@@ -124,7 +133,7 @@ TEST(SliceBuilder, ReturnsNothingWhenBudgetTooSmall)
 TEST(SliceBuilder, BudgetCapsTheAcceptedCost)
 {
     Profiled p = makeProfiled(8, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     auto big = builder.build(*p.profiler.site(p.loadPc), 100.0,
                              p.profiler);
     ASSERT_TRUE(big.has_value());
@@ -146,7 +155,7 @@ TEST(SliceBuilder, MaxInstrsCapHolds)
     Profiled p = makeProfiled(20, false);
     SliceBuilderConfig config;
     config.maxInstrs = 6;
-    SliceBuilder builder(EnergyModel{}, config);
+    SliceBuilder builder(energy(), config);
     auto slice = builder.build(*p.profiler.site(p.loadPc), 1000.0,
                                p.profiler);
     ASSERT_TRUE(slice.has_value());
@@ -158,7 +167,7 @@ TEST(SliceBuilder, MaxHeightCapHolds)
     Profiled p = makeProfiled(20, false);
     SliceBuilderConfig config;
     config.maxHeight = 3;
-    SliceBuilder builder(EnergyModel{}, config);
+    SliceBuilder builder(energy(), config);
     auto slice = builder.build(*p.profiler.site(p.loadPc), 1000.0,
                                p.profiler);
     ASSERT_TRUE(slice.has_value());
@@ -179,7 +188,7 @@ TEST(SliceBuilder, NoSliceForUntrackedLoads)
     Machine m(program, EnergyModel{});
     m.setObserver(&profiler);
     m.run();
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     auto slice = builder.build(*profiler.site(load_pc), 100.0, profiler);
     EXPECT_FALSE(slice.has_value());
 }
@@ -187,7 +196,7 @@ TEST(SliceBuilder, NoSliceForUntrackedLoads)
 TEST(SliceBuilder, EstimatesRecordedOnSlice)
 {
     Profiled p = makeProfiled(4, false);
-    SliceBuilder builder(EnergyModel{}, SliceBuilderConfig{});
+    SliceBuilder builder(energy(), SliceBuilderConfig{});
     auto slice = builder.build(*p.profiler.site(p.loadPc), 42.0,
                                p.profiler);
     ASSERT_TRUE(slice.has_value());

@@ -7,7 +7,8 @@
  *   --seed <n>       master seed of the case stream (default 1)
  *   --runs <n>       number of generated cases to check (default 100)
  *   --start <n>      first case index (default 0; resume long campaigns)
- *   --fault-rate <p> probability a case carries a fault plan (default 0.5)
+ *   --fault-rate <p> probability a case carries a fault plan, in [0, 1]
+ *                    (default 0.5)
  *   --replay <file>  check one flat-JSON repro case instead of generating
  *   --minimize       shrink every failing case before reporting it
  *   --out <dir>      where failing cases are written (default fuzz-out)
@@ -16,6 +17,8 @@
  * Every failing case is serialized twice into --out: the flat-JSON
  * repro (<label>.json, replayable and hand-editable) and the compiled
  * amnesic binary (<label>.amnb, for amnesiac-lint / amnesiac-run).
+ * Numbers are parsed strictly by bench::ArgReader: junk, negative or
+ * out-of-range values are usage errors.
  * Exit status: 0 no failures, 1 at least one failure, 2 usage errors.
  */
 
@@ -27,6 +30,7 @@
 #include <sstream>
 #include <string>
 
+#include "bench/common.h"
 #include "core/compiler.h"
 #include "isa/serialize.h"
 #include "testing/generator.h"
@@ -92,33 +96,31 @@ main(int argc, char **argv)
     bool minimize = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        const std::string &arg = r.arg();
         if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = r.integer(0, UINT64_MAX);
         } else if (arg == "--runs") {
-            runs = std::strtoull(next(), nullptr, 10);
+            runs = r.integer(0, UINT64_MAX);
         } else if (arg == "--start") {
-            start = std::strtoull(next(), nullptr, 10);
+            start = r.integer(0, UINT64_MAX);
         } else if (arg == "--fault-rate") {
-            gen.faultProbability = std::strtod(next(), nullptr);
+            gen.faultProbability = r.fraction();
         } else if (arg == "--replay") {
-            replay_path = next();
+            replay_path = r.value();
         } else if (arg == "--minimize") {
             minimize = true;
         } else if (arg == "--out") {
-            out_dir = next();
+            out_dir = r.value();
         } else if (arg == "--quiet") {
             quiet = true;
         } else {
-            usage(argv[0]);
+            r.fail("unknown argument '" + arg + "'");
         }
     }
+    if (runs > UINT64_MAX - start)
+        r.fail("--start + --runs overflows the case index");
 
     std::uint64_t checked = 0;
     std::uint64_t failures = 0;

@@ -11,8 +11,10 @@
  *                          compile with the case's own configs, lint
  *                          against its capacities (repeatable)
  *   --seed <n>             workload seed (default 1)
- *   --sfile <n>            SFile capacity checked against (default 192)
- *   --hist <n>             Hist capacity checked against (default 600)
+ *   --sfile <n>            SFile capacity checked against (default 192;
+ *                          1..2^20)
+ *   --hist <n>             Hist capacity checked against (default 600;
+ *                          1..2^20)
  *   --Werror               warnings gate like errors
  *   --json                 one JSON object per program instead of text
  *   --sarif                one SARIF 2.1.0 document over all programs
@@ -22,6 +24,8 @@
  *   --help                 this text
  *
  * Positional arguments are serialized binaries (amnesiac-run --save).
+ * Value flags accept `--flag value` and `--flag=value`; numbers are
+ * parsed strictly by bench::ArgReader (a bad one is a usage error).
  * Exit status: 0 all clean, 1 gating findings, 2 usage or load errors.
  */
 
@@ -34,6 +38,7 @@
 #include <vector>
 
 #include "analysis/analyzer.h"
+#include "bench/common.h"
 #include "core/compiler.h"
 #include "isa/serialize.h"
 #include "testing/repro.h"
@@ -53,8 +58,10 @@ const char kUsage[] =
     "                      compile with the case's configs, lint against\n"
     "                      its capacities (repeatable)\n"
     "  --seed <n>          workload seed (default 1)\n"
-    "  --sfile <n>         SFile capacity checked against (default 192)\n"
-    "  --hist <n>          Hist capacity checked against (default 600)\n"
+    "  --sfile <n>         SFile capacity checked against (default 192;\n"
+    "                      1..2^20)\n"
+    "  --hist <n>          Hist capacity checked against (default 600;\n"
+    "                      1..2^20)\n"
     "  --Werror            warnings gate like errors\n"
     "  --json              one JSON object per program instead of text\n"
     "  --sarif             one SARIF 2.1.0 document over all programs\n"
@@ -121,27 +128,23 @@ main(int argc, char **argv)
     bool sarif = false;
     bool quiet = false;
 
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc)
-                usage(argv[0]);
-            return argv[++i];
-        };
+    bench::ArgReader r(argc, argv, usage);
+    while (r.next()) {
+        const std::string &arg = r.arg();
         if (arg == "--workload") {
-            workload_names.push_back(next());
+            workload_names.push_back(r.value());
         } else if (arg == "--all") {
             all = true;
         } else if (arg == "--case") {
-            case_paths.push_back(next());
+            case_paths.push_back(r.value());
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = r.integer(0, UINT64_MAX);
         } else if (arg == "--sfile") {
             options.sfileCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+                r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--hist") {
             options.histCapacity = static_cast<std::uint32_t>(
-                std::strtoul(next(), nullptr, 10));
+                r.integer(1, bench::kMaxCapacity));
         } else if (arg == "--Werror") {
             werror = true;
         } else if (arg == "--json") {
@@ -158,12 +161,12 @@ main(int argc, char **argv)
                             std::string(pass.summary).c_str());
             return 0;
         } else if (arg == "--explain") {
-            return explainDiagnostic(next());
+            return explainDiagnostic(r.value());
         } else if (arg == "--help") {
             std::printf(kUsage, argv[0]);
             return 0;
         } else if (!arg.empty() && arg[0] == '-') {
-            usage(argv[0]);
+            r.fail("unknown argument '" + arg + "'");
         } else {
             paths.push_back(arg);
         }
