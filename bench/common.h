@@ -21,6 +21,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/span.h"
@@ -104,10 +105,15 @@ class ArgReader
     {
     }
 
-    /** Step to the next argument; false once argv is exhausted. */
+    /** Step to the next argument; false once argv is exhausted. A
+     * `--flag=value` whose value was never read is a usage error: the
+     * flag takes no value. */
     bool
     next()
     {
+        if (_inline)
+            fail(_arg + " takes no value (got '" + _arg + "=" + *_inline +
+                 "')");
         if (++_i >= _argc)
             return false;
         _arg = _argv[_i];
@@ -130,7 +136,7 @@ class ArgReader
     value()
     {
         if (_inline)
-            return *_inline;
+            return *std::exchange(_inline, std::nullopt);
         if (_i + 1 >= _argc)
             fail("missing value for " + _arg);
         return _argv[++_i];

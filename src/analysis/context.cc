@@ -2,19 +2,11 @@
 
 #include <algorithm>
 
-#include "analysis/dataflow.h"
 #include "util/logging.h"
 
 namespace amnesiac {
 
 namespace {
-
-/** Set bit `r` when it names a real architectural register. */
-std::uint32_t
-regBit(Reg r)
-{
-    return r < kNumRegs ? (1u << r) : 0u;
-}
 
 /** True if operand k of a slice instruction reads the given source. */
 bool
@@ -35,7 +27,6 @@ AnalysisContext::AnalysisContext(const Program &program)
     buildBlocks();
     buildRecIndex();
     buildReachability();
-    buildLiveness();
 }
 
 void
@@ -156,71 +147,6 @@ bool
 AnalysisContext::mainReachable(std::uint32_t pc) const
 {
     return pc < _reachable.size() && _reachable[pc];
-}
-
-std::uint32_t
-AnalysisContext::useMask(std::uint32_t pc) const
-{
-    const Instruction &i = _program->code[pc];
-    std::uint32_t mask = 0;
-    int sources = numSources(i.op);
-    if (sources >= 1)
-        mask |= regBit(i.rs1);
-    if (sources >= 2)
-        mask |= regBit(i.rs2);
-    return mask;
-}
-
-std::uint32_t
-AnalysisContext::defMask(std::uint32_t pc) const
-{
-    const Instruction &i = _program->code[pc];
-    return hasDest(i.op) ? regBit(i.rd) : 0u;
-}
-
-namespace {
-
-/** Backward liveness as a dataflow-engine domain: 32-bit register
- * masks, join = union, in = use | (out & ~def). */
-struct LivenessDomain
-{
-    const AnalysisContext *ctx;
-
-    using Value = std::uint32_t;
-
-    Value bottom() const { return 0; }
-
-    bool
-    join(Value &into, const Value &from) const
-    {
-        Value old = into;
-        into |= from;
-        return into != old;
-    }
-
-    Value
-    transferBack(std::uint32_t pc, const Instruction &, const Value &out) const
-    {
-        return ctx->useMask(pc) | (out & ~ctx->defMask(pc));
-    }
-};
-
-}  // namespace
-
-void
-AnalysisContext::buildLiveness()
-{
-    // Solved on the shared engine; unreachable code keeps bottom (no
-    // register live), which no consumer distinguishes from the old
-    // every-pc sweep.
-    MainCfg cfg(*_program);
-    _liveIn = solveBackward(cfg, LivenessDomain{this});
-}
-
-std::uint32_t
-AnalysisContext::mainLiveIn(std::uint32_t pc) const
-{
-    return pc < _liveIn.size() ? _liveIn[pc] : 0u;
 }
 
 }  // namespace amnesiac

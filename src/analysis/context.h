@@ -2,10 +2,9 @@
  * @file
  * Shared analysis context built once per analyzed program and consumed
  * by every pass: the main-code control-flow graph and its reachability,
- * per-instruction def/use register masks with a backward liveness
- * fixpoint, the slice-region block table (with per-block recomputed
- * statistics and a dataflow max-live bound), and the REC checkpoint
- * index. Passes stay small because everything positional lives here.
+ * the slice-region block table (with per-block recomputed statistics
+ * and a dataflow max-live bound), and the REC checkpoint index. Passes
+ * stay small because everything positional lives here.
  */
 
 #ifndef AMNESIAC_ANALYSIS_CONTEXT_H
@@ -81,19 +80,10 @@ class AnalysisContext
     /** True if the main-code instruction is reachable from pc 0. */
     bool mainReachable(std::uint32_t pc) const;
 
-    /** Registers read / written by the instruction, as 32-bit masks. */
-    std::uint32_t useMask(std::uint32_t pc) const;
-    std::uint32_t defMask(std::uint32_t pc) const;
-
-    /** Registers live on entry to a main-code instruction (backward
-     * dataflow fixpoint over the main CFG). */
-    std::uint32_t mainLiveIn(std::uint32_t pc) const;
-
   private:
     void buildBlocks();
     void buildRecIndex();
     void buildReachability();
-    void buildLiveness();
 
     const Program *_program;
     std::vector<SliceBlock> _blocks;
@@ -102,7 +92,6 @@ class AnalysisContext
     std::vector<std::uint32_t> _rcmpPcs;
     std::vector<std::uint32_t> _recPcs;
     std::vector<bool> _reachable;
-    std::vector<std::uint32_t> _liveIn;
 };
 
 }  // namespace amnesiac

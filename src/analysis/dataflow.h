@@ -31,11 +31,6 @@
  *
  * Transfer over bottom must yield bottom and join-with-bottom must be a
  * no-op, so unreachable code needs no special casing in the engine.
- *
- * Backward domain concept: bottom(), join(), and
- *   Value transferBack(std::uint32_t pc, const Instruction &instr,
- *                      const Value &out);
- * where `out` is the join over successor in-states (bottom at exits).
  */
 
 #ifndef AMNESIAC_ANALYSIS_DATAFLOW_H
@@ -211,43 +206,6 @@ solveForward(const MainCfg &cfg, const Domain &domain)
                 domain.join(acc, v);
             }
             states[pc] = std::move(acc);
-        }
-    }
-    return states;
-}
-
-/**
- * Backward fixpoint for finite lattices (no widening/refinement):
- * returns the in-state of every main-code pc, where in(pc) =
- * transferBack(pc, join over successor in-states).
- */
-template <typename Domain>
-std::vector<typename Domain::Value>
-solveBackward(const MainCfg &cfg, const Domain &domain)
-{
-    using Value = typename Domain::Value;
-    const Program &p = cfg.program();
-    std::vector<Value> states(cfg.size(), domain.bottom());
-    if (cfg.size() == 0)
-        return states;
-
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::uint32_t i = static_cast<std::uint32_t>(cfg.rpo().size());
-             i-- > 0;) {
-            std::uint32_t pc = cfg.rpo()[i];
-            Value out = domain.bottom();
-            std::uint32_t succ[2];
-            std::uint32_t edge[2];
-            std::uint32_t n = cfg.successors(pc, succ, edge);
-            for (std::uint32_t k = 0; k < n; ++k)
-                domain.join(out, states[succ[k]]);
-            Value in = domain.transferBack(pc, p.code[pc], out);
-            if (!(in == states[pc])) {
-                states[pc] = std::move(in);
-                changed = true;
-            }
         }
     }
     return states;

@@ -53,13 +53,11 @@ computeStaticPrune(const Program &program, const DataflowFacts &facts,
             options.energy->instrEnergy(InstrCategory::Rtn) +
             options.energy->instrEnergy(InstrCategory::Rcmp);
     }
-    // The oracle path skips the profitability filter, so only the
-    // builder's budget bound is guaranteed to reject; otherwise a site
-    // survives only if BOTH filters could pass, and the floor may take
-    // the laxer of the two margins.
-    double floor_margin = options.oracleSet
-        ? options.budgetMargin
-        : std::max(options.budgetMargin, options.profitabilityMargin);
+    // The builder's budget bound rejects a slice in both sets; the
+    // profitability filter only in the Compiler set. A floor at the
+    // larger of the two margins is therefore safe for both sets.
+    const double floor_margin =
+        std::max(options.budgetMargin, options.profitabilityMargin);
 
     for (std::uint32_t pc = 0; pc < n; ++pc) {
         if (program.code[pc].op != Opcode::Ld)

@@ -35,7 +35,12 @@
 
 namespace amnesiac {
 
-/** Mirror of the compiler knobs the prune rules must respect. */
+/**
+ * Mirror of the compiler knobs the prune rules must respect. One mask
+ * serves both slice sets: its energy floor takes the larger of the two
+ * margins, which prunes no site the Oracle set (budget bound only)
+ * could keep.
+ */
 struct StaticPruneOptions
 {
     /** Compiler's cold-site threshold (CompilerConfig::minSiteCount). */
@@ -44,9 +49,6 @@ struct StaticPruneOptions
     double profitabilityMargin = 1.0;
     /** SliceBuilderConfig::budgetMargin. */
     double budgetMargin = 1.0;
-    /** CompilerConfig::oracleSet — the oracle path skips the
-     * profitability filter, so only the budget bound may prune. */
-    bool oracleSet = false;
     /** Energy model for the energy-floor rule; null disables it. */
     const EnergyModel *energy = nullptr;
 };

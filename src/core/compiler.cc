@@ -24,25 +24,96 @@ AmnesicCompiler::AmnesicCompiler(const EnergyModel &energy,
 CompileResult
 AmnesicCompiler::compile(const Program &input) const
 {
+    const bool oracle = _config.oracleSet;
+    CompiledSets sets = compileSets(input, !oracle, oracle);
+    return std::move(oracle ? sets.oracle : sets.normal);
+}
+
+void
+AmnesicCompiler::select(const Profiler &profile,
+                        const std::array<double, kNumMemLevels> &global_pr,
+                        bool oracle_set, CompileStats &stats,
+                        std::vector<RSlice> &out) const
+{
+    CostModel cost(_energy);
+    SliceBuilder builder(_energy, _config.builder);
+    for (const SiteProfile *site : profile.sites()) {
+        ++stats.sitesSeen;
+        stats.totalDynLoads += site->count;
+        if (site->count < _config.minSiteCount) {
+            ++stats.rejectedCold;
+            continue;
+        }
+        if (site->stability() < _config.stabilityThreshold) {
+            ++stats.rejectedUnstable;
+            continue;
+        }
+        double eld = _config.globalResidenceModel
+            ? cost.loadEnergyFromDistribution(global_pr)
+            : cost.probabilisticLoadEnergy(*site);
+        // The Oracle set grows against the deepest budget and defers
+        // the economics to the runtime oracle (§5.1).
+        double budget = oracle_set
+            ? _energy.loadEnergy(MemLevel::Memory) : eld;
+        auto slice = builder.build(*site, budget, profile);
+        if (!slice) {
+            ++stats.rejectedNoSlice;
+            continue;
+        }
+        slice->eldEstimate = eld;
+        if (!oracle_set &&
+            slice->ercEstimate >= _config.profitabilityMargin * eld) {
+            ++stats.rejectedEnergy;
+            continue;
+        }
+        slice->profCount = site->count;
+        for (std::size_t i = 0; i < kNumMemLevels; ++i)
+            slice->profResidence[i] =
+                site->prLevel(static_cast<MemLevel>(i));
+        slice->valueLocalityPct = site->valueLocalityPercent();
+        out.push_back(std::move(*slice));
+    }
+}
+
+CompiledSets
+AmnesicCompiler::compileSets(const Program &input, bool want_normal,
+                             bool want_oracle) const
+{
     AMNESIAC_ASSERT(input.slices.empty() &&
                         input.codeEnd == input.code.size(),
                     "input binary already contains slices");
+    AMNESIAC_ASSERT(want_normal || want_oracle, "no slice set requested");
 
     using Clock = std::chrono::steady_clock;
-    CompileResult result;
+    CompiledSets out;
+    // The requested sets, normal first; the first one also carries the
+    // shared laps, so no lap is counted twice across the sets.
+    struct Set
+    {
+        CompileResult *result;
+        bool oracle;
+        /** This set's candidates in `candidates` below: [first, end). */
+        std::size_t first = 0;
+        std::size_t end = 0;
+    };
+    std::vector<Set> sets;
+    if (want_normal)
+        sets.push_back({&out.normal, false});
+    if (want_oracle)
+        sets.push_back({&out.oracle, true});
+    CompileResult &shared = *sets.front().result;
 
     // Top-level span covers the whole compile; per-pass spans nest
     // under it. The lap timer runs alongside: every named segment
     // records the wall time since the previous one, so the passTimes
-    // table is gap-free and sums to the body's wall clock.
-    ScopedSpan compile_span(_config.oracleSet ? "compile:oracle" : "compile",
-                            input.name);
+    // tables are gap-free and sum to the body's wall clock.
+    ScopedSpan compile_span("compile", input.name);
     auto lap_start = Clock::now();
-    auto lap = [&](const char *name) {
+    auto lap = [&](CompileResult &into, const char *name) {
         const auto now = Clock::now();
         const double sec =
             std::chrono::duration<double>(now - lap_start).count();
-        result.passTimes.push_back({name, sec});
+        into.passTimes.push_back({name, sec});
         lap_start = now;
         return sec;
     };
@@ -51,7 +122,8 @@ AmnesicCompiler::compile(const Program &input) const
     // Rules the abstract interpretation can decide ahead of execution
     // (dead/cold sites, read-only inputs, slice-free value flows) are
     // decided here, so the dynamic profiler skips the per-instance tree
-    // work for them. Conservative only: see CompilerConfig::prune.
+    // work for them. Conservative only: see CompilerConfig::prune. One
+    // mask serves every set (see StaticPruneOptions).
     ProfilerConfig prof_config;
     if (_config.prune) {
         ScopedSpan span("pass:prune", input.name);
@@ -60,18 +132,19 @@ AmnesicCompiler::compile(const Program &input) const
         prune_opts.minSiteCount = _config.minSiteCount;
         prune_opts.profitabilityMargin = _config.profitabilityMargin;
         prune_opts.budgetMargin = _config.builder.budgetMargin;
-        prune_opts.oracleSet = _config.oracleSet;
         prune_opts.energy = &_energy;
         StaticPruneResult pruned =
             computeStaticPrune(input, facts, prune_opts);
-        result.stats.prunedSites = pruned.prunedSites;
-        result.stats.prunedProductions = pruned.prunedProductions;
+        for (Set &set : sets) {
+            set.result->stats.prunedSites = pruned.prunedSites;
+            set.result->stats.prunedProductions = pruned.prunedProductions;
+        }
         prof_config.skipSiteAnalysis = std::move(pruned.skipSiteAnalysis);
         prof_config.opaqueProduction = std::move(pruned.opaqueProduction);
         span.counter("prunedSites", pruned.prunedSites);
         span.counter("prunedProds", pruned.prunedProductions);
     }
-    result.analysisSec += lap("prune");
+    shared.analysisSec += lap(shared, "prune");
 
     // --- pass 1: dependence + residence profiling (§3.1.1, §4) ---
     Profiler profile(prof_config);
@@ -81,12 +154,7 @@ AmnesicCompiler::compile(const Program &input) const
         machine.setObserver(&profile);
         machine.run(_config.runLimit);
     }
-    result.profileSec = lap("profile");
-
-    CostModel cost(_energy);
-    SliceBuilder builder(_energy, _config.builder);
-
-    ScopedSpan select_span("pass:select", input.name);
+    shared.profileSec = lap(shared, "profile");
 
     // Global per-level residence distribution (the paper's Pr_Li model).
     std::array<double, kNumMemLevels> global_pr{};
@@ -105,47 +173,20 @@ AmnesicCompiler::compile(const Program &input) const
                       static_cast<double>(total);
     }
 
+    // Every set's candidates, set after set: one dry run checks them
+    // all, and a load may have one candidate per set.
     std::vector<RSlice> candidates;
-    for (const SiteProfile *site : profile.sites()) {
-        ++result.stats.sitesSeen;
-        result.stats.totalDynLoads += site->count;
-        if (site->count < _config.minSiteCount) {
-            ++result.stats.rejectedCold;
-            continue;
-        }
-        if (site->stability() < _config.stabilityThreshold) {
-            ++result.stats.rejectedUnstable;
-            continue;
-        }
-        double eld = _config.globalResidenceModel
-            ? cost.loadEnergyFromDistribution(global_pr)
-            : cost.probabilisticLoadEnergy(*site);
-        // The Oracle set grows against the deepest budget and defers
-        // the economics to the runtime oracle (§5.1).
-        double budget = _config.oracleSet
-            ? _energy.loadEnergy(MemLevel::Memory) : eld;
-        auto slice = builder.build(*site, budget, profile);
-        if (!slice) {
-            ++result.stats.rejectedNoSlice;
-            continue;
-        }
-        slice->eldEstimate = eld;
-        if (!_config.oracleSet &&
-            slice->ercEstimate >= _config.profitabilityMargin * eld) {
-            ++result.stats.rejectedEnergy;
-            continue;
-        }
-        slice->profCount = site->count;
-        for (std::size_t i = 0; i < kNumMemLevels; ++i)
-            slice->profResidence[i] =
-                site->prLevel(static_cast<MemLevel>(i));
-        slice->valueLocalityPct = site->valueLocalityPercent();
-        candidates.push_back(std::move(*slice));
+    for (Set &set : sets) {
+        ScopedSpan span("pass:select", input.name);
+        set.first = candidates.size();
+        select(profile, global_pr, set.oracle, set.result->stats,
+               candidates);
+        set.end = candidates.size();
+        span.counter("sitesSeen", set.result->stats.sitesSeen);
+        span.counter("candidates", set.end - set.first);
+        span.stop();
+        lap(*set.result, "select");
     }
-    select_span.counter("sitesSeen", result.stats.sitesSeen);
-    select_span.counter("candidates", candidates.size());
-    select_span.stop();
-    lap("select");
 
     // --- pass 2: functional dry-run validation (DESIGN.md §5) ---
     if (!candidates.empty()) {
@@ -155,58 +196,67 @@ AmnesicCompiler::compile(const Program &input) const
         machine.setObserver(&validator);
         machine.run(_config.runLimit);
 
-        std::vector<RSlice> validated;
-        for (RSlice &slice : candidates) {
-            const DryRunSiteResult &dry = validator.result(slice.loadPc);
-            if (dry.evaluated == 0 ||
-                dry.matchRate() < _config.matchThreshold) {
-                ++result.stats.rejectedMatch;
-                continue;
+        std::size_t validated = 0;
+        for (Set &set : sets) {
+            CompileResult &result = *set.result;
+            for (std::size_t c = set.first; c < set.end; ++c) {
+                const DryRunSiteResult &dry = validator.result(c);
+                if (dry.evaluated == 0 ||
+                    dry.matchRate() < _config.matchThreshold) {
+                    ++result.stats.rejectedMatch;
+                    continue;
+                }
+                candidates[c].dryRunMatchRate = dry.matchRate();
+                result.slices.push_back(std::move(candidates[c]));
             }
-            slice.dryRunMatchRate = dry.matchRate();
-            validated.push_back(std::move(slice));
+            validated += result.slices.size();
         }
-        candidates = std::move(validated);
-        span.counter("validated", candidates.size());
+        span.counter("validated", validated);
     }
-    lap("dryrun");
+    lap(shared, "dryrun");
 
-    result.stats.selected = candidates.size();
-    for (const RSlice &slice : candidates) {
-        const SiteProfile *site = profile.site(slice.loadPc);
-        result.stats.coveredDynLoads += site ? site->count : 0;
+    for (Set &set : sets) {
+        CompileStats &stats = set.result->stats;
+        stats.selected = set.result->slices.size();
+        for (const RSlice &slice : set.result->slices) {
+            const SiteProfile *site = profile.site(slice.loadPc);
+            stats.coveredDynLoads += site ? site->count : 0;
+        }
     }
     // The profile is the compile's largest allocation: free it inside
     // a lap, not after the last one, so the laps cover the whole call.
     { Profiler done = std::move(profile); }
 
-    // --- pass 3: rewrite (§3.1.2) ---
-    {
-        ScopedSpan span("pass:rewrite", input.name);
-        result.program = rewrite(input, candidates, &result.stats);
-        result.slices = std::move(candidates);
-        span.counter("selected", result.stats.selected);
-        span.counter("instrs", result.program.code.size());
-    }
-    lap("rewrite");
-
-    // --- pass 4: mandatory analysis gate ---
-    // A compiler that emits a structurally broken binary is a compiler
-    // bug, never a workload property: fail hard instead of letting the
-    // machine corrupt state later.
     AnalyzerOptions lint;
     lint.energy = _energy.config();
-    ScopedSpan gate_span("pass:gate", input.name);
-    AnalysisReport report = analyzeProgram(result.program, lint);
-    gate_span.stop();
-    result.analysisSec += lap("gate");
-    if (report.hasErrors())
-        AMNESIAC_FATAL(std::string("compiler emitted an ill-formed "
-                                   "binary:\n") +
-                       report.renderText());
-    result.stats.analysisWarnings = report.warningCount();
-    result.stats.analysisNotes = report.count(Severity::Note);
-    return result;
+    for (Set &set : sets) {
+        CompileResult &result = *set.result;
+
+        // --- pass 3: rewrite (§3.1.2) ---
+        {
+            ScopedSpan span("pass:rewrite", input.name);
+            result.program = rewrite(input, result.slices, &result.stats);
+            span.counter("selected", result.stats.selected);
+            span.counter("instrs", result.program.code.size());
+        }
+        lap(result, "rewrite");
+
+        // --- pass 4: mandatory analysis gate ---
+        // A compiler that emits a structurally broken binary is a
+        // compiler bug, never a workload property: fail hard instead of
+        // letting the machine corrupt state later.
+        ScopedSpan gate_span("pass:gate", input.name);
+        AnalysisReport report = analyzeProgram(result.program, lint);
+        gate_span.stop();
+        result.analysisSec += lap(result, "gate");
+        if (report.hasErrors())
+            AMNESIAC_FATAL(std::string("compiler emitted an ill-formed "
+                                       "binary:\n") +
+                           report.renderText());
+        result.stats.analysisWarnings = report.warningCount();
+        result.stats.analysisNotes = report.count(Severity::Note);
+    }
+    return out;
 }
 
 Program

@@ -9,6 +9,7 @@
 #ifndef AMNESIAC_CORE_COMPILER_H
 #define AMNESIAC_CORE_COMPILER_H
 
+#include <array>
 #include <vector>
 
 #include "core/slice_builder.h"
@@ -44,10 +45,10 @@ struct CompilerConfig
      */
     bool globalResidenceModel = true;
     /**
-     * Build the Oracle slice set (§5.1): grow every feasible slice
-     * against the maximum (memory-resident) budget and skip the
+     * compile() builds the Oracle slice set (§5.1): grow every feasible
+     * slice against the maximum (memory-resident) budget and skip the
      * probabilistic profitability filter; the runtime oracle decides
-     * per dynamic instance.
+     * per dynamic instance. compileSets() names its sets explicitly.
      */
     bool oracleSet = false;
     /**
@@ -115,17 +116,33 @@ struct CompileResult
      * Gap-free per-pass wall-clock laps over the compile() body, in
      * execution order (prune, profile, select, dryrun, rewrite, gate):
      * each entry covers everything since the previous one, so the
-     * entries sum to the body's wall time. Diagnostic only — never
+     * entries sum to the body's wall time. A compileSets() call files
+     * its shared laps (prune, profile, dryrun) under its first set
+     * only. Diagnostic only — never
      * serialized into cached artifacts (a cache hit legitimately has an
      * empty table). Feeds RunManifest::passes.
      */
     std::vector<PassTime> passTimes;
 };
 
+/** The slice sets of one compileSets() call; a set that was not
+ * requested stays default-constructed. */
+struct CompiledSets
+{
+    /** The probabilistic Compiler set (§3.1.1). */
+    CompileResult normal;
+    /** The Oracle set (§5.1). */
+    CompileResult oracle;
+};
+
+class Profiler;
+
 /**
- * Profile-guided amnesic compilation: two classic profiling runs
- * (dependence/residence profiling, then dry-run validation) followed by
- * the rewrite. The input binary must be slice-free.
+ * Profile-guided amnesic compilation. One static prune and two classic
+ * replays serve every requested slice set: dependence/residence
+ * profiling, then dry-run validation of all sets' candidates at once.
+ * Selection, the rewrite and the analysis gate then run per set. The
+ * input binary must be slice-free.
  */
 class AmnesicCompiler
 {
@@ -134,8 +151,19 @@ class AmnesicCompiler
                     const HierarchyConfig &hierarchy = {},
                     const CompilerConfig &config = {});
 
-    /** Run the full pass. */
+    /** Build the one set CompilerConfig::oracleSet names. */
     CompileResult compile(const Program &input) const;
+
+    /**
+     * Build the requested slice sets (at least one) from one prune, one
+     * profile replay and one dry-run replay; CompilerConfig::oracleSet
+     * is not read. The shared laps (prune, profile, dryrun), with their
+     * analysisSec and profileSec shares, land in the first requested
+     * set only: summed over the sets, each lap counts once and the
+     * laps add up to the call's wall time.
+     */
+    CompiledSets compileSets(const Program &input, bool want_normal,
+                             bool want_oracle) const;
 
     /**
      * Rewrite only (exposed for tests): swap the given loads and embed
@@ -146,6 +174,13 @@ class AmnesicCompiler
                            CompileStats *stats = nullptr);
 
   private:
+    /** Grow one set's candidate slices from the profile (pass 1b);
+     * `global_pr` is the paper's global residence model, Pr_Li. */
+    void select(const Profiler &profile,
+                const std::array<double, kNumMemLevels> &global_pr,
+                bool oracle_set, CompileStats &stats,
+                std::vector<RSlice> &out) const;
+
     EnergyModel _energy;
     HierarchyConfig _hierarchy;
     CompilerConfig _config;

@@ -36,6 +36,8 @@ class CostModel
         : _energy(&energy), _timing(timing)
     {
     }
+    /** The model keeps a pointer to `energy`: no temporaries. */
+    CostModel(EnergyModel &&, const TimingModel * = nullptr) = delete;
 
     /**
      * Eld(v): sum over levels of Pr_Li × EPI of a load serviced at Li

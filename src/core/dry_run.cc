@@ -14,10 +14,8 @@ DryRunValidator::DryRunValidator(const std::vector<RSlice> &candidates)
     for (std::size_t c = 0; c < candidates.size(); ++c) {
         const RSlice &slice = candidates[c];
         if (slice.loadPc >= _byLoadPc.size())
-            _byLoadPc.resize(std::size_t{slice.loadPc} + 1, kNoCandidate);
-        AMNESIAC_ASSERT(_byLoadPc[slice.loadPc] == kNoCandidate,
-                        "two candidates for one load site");
-        _byLoadPc[slice.loadPc] = c;
+            _byLoadPc.resize(std::size_t{slice.loadPc} + 1);
+        _byLoadPc[slice.loadPc].push_back(c);
         for (const auto &[orig_pc, instr_idx] : slice.capturePoints()) {
             if (orig_pc >= _captures.size())
                 _captures.resize(std::size_t{orig_pc} + 1);
@@ -59,9 +57,16 @@ DryRunValidator::onLoad(const ExecutionEngine &m, std::uint32_t pc,
 {
     (void)addr;
     (void)serviced;
-    if (pc >= _byLoadPc.size() || _byLoadPc[pc] == kNoCandidate)
+    if (pc >= _byLoadPc.size())
         return;
-    const std::size_t cand = _byLoadPc[pc];
+    for (std::size_t cand : _byLoadPc[pc])
+        evaluate(m, cand, value);
+}
+
+void
+DryRunValidator::evaluate(const ExecutionEngine &m, std::size_t cand,
+                          std::uint64_t loaded)
+{
     const RSlice &slice = (*_candidates)[cand];
     DryRunSiteResult &result = _results[cand];
     ++result.evaluated;
@@ -92,17 +97,15 @@ DryRunValidator::onLoad(const ExecutionEngine &m, std::uint32_t pc,
         }
         _values[i] = Machine::evalAlu(instr.op, in[0], in[1], instr.imm);
     }
-    if (_values.back() == value)
+    if (_values.back() == loaded)
         ++result.matched;
 }
 
 const DryRunSiteResult &
-DryRunValidator::result(std::uint32_t load_pc) const
+DryRunValidator::result(std::size_t candidate) const
 {
-    AMNESIAC_ASSERT(load_pc < _byLoadPc.size() &&
-                        _byLoadPc[load_pc] != kNoCandidate,
-                    "no candidate at this load pc");
-    return _results[_byLoadPc[load_pc]];
+    AMNESIAC_ASSERT(candidate < _results.size(), "no such candidate");
+    return _results[candidate];
 }
 
 }  // namespace amnesiac

@@ -47,7 +47,8 @@ struct DryRunSiteResult
 class DryRunValidator : public MachineObserver
 {
   public:
-    /** @param candidates candidate slices, one per (distinct) load pc */
+    /** @param candidates candidate slices; several may target one
+     * load pc (one replay validates every slice set together) */
     explicit DryRunValidator(const std::vector<RSlice> &candidates);
 
     void onExec(const ExecutionEngine &m, std::uint32_t pc,
@@ -55,8 +56,8 @@ class DryRunValidator : public MachineObserver
     void onLoad(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
                 std::uint64_t value, MemLevel serviced) override;
 
-    /** Result for the candidate replacing the load at `load_pc`. */
-    const DryRunSiteResult &result(std::uint32_t load_pc) const;
+    /** Result for candidates[candidate]. */
+    const DryRunSiteResult &result(std::size_t candidate) const;
 
   private:
     /** A shadow Hist slot: one per slice instruction of a candidate. */
@@ -66,11 +67,13 @@ class DryRunValidator : public MachineObserver
         bool written = false;
     };
 
-    static constexpr std::size_t kNoCandidate = SIZE_MAX;
+    /** Evaluate candidate `cand` at one dynamic instance of its load. */
+    void evaluate(const ExecutionEngine &m, std::size_t cand,
+                  std::uint64_t loaded);
 
     const std::vector<RSlice> *_candidates;
-    /** load pc -> candidate index (kNoCandidate where none). */
-    std::vector<std::size_t> _byLoadPc;
+    /** load pc -> the candidates replacing that load. */
+    std::vector<std::vector<std::size_t>> _byLoadPc;
     /** capture pc -> [(candidate, instr index)]. */
     std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
         _captures;

@@ -49,6 +49,8 @@ class SliceBuilder
   public:
     SliceBuilder(const EnergyModel &energy,
                  const SliceBuilderConfig &config);
+    /** The builder keeps a pointer to `energy`: no temporaries. */
+    SliceBuilder(EnergyModel &&, const SliceBuilderConfig &) = delete;
 
     /**
      * @param site the load site's profile (tree shapes, live stats)

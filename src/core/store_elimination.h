@@ -46,6 +46,8 @@ class StoreProfiler : public MachineObserver
 {
   public:
     explicit StoreProfiler(const EnergyModel &energy) : _energy(&energy) {}
+    /** The profiler keeps a pointer to `energy`: no temporaries. */
+    StoreProfiler(EnergyModel &&) = delete;
 
     void onStore(const ExecutionEngine &m, std::uint32_t pc, std::uint64_t addr,
                  std::uint64_t value, MemLevel serviced) override;

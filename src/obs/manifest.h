@@ -31,7 +31,7 @@ std::uint64_t fnv1aDigest(std::string_view bytes);
 struct PhaseTimes
 {
     double classicSec = 0.0;   ///< classic (baseline) simulation
-    double compileSec = 0.0;   ///< both compiles (prob + oracle sets)
+    double compileSec = 0.0;   ///< compiling (or loading) both slice sets
     double analysisSec = 0.0;  ///< static analysis share of compileSec
     double profileSec = 0.0;   ///< dependence-profiling share of compileSec
     double simulateSec = 0.0;  ///< all amnesic policy simulations
@@ -59,7 +59,7 @@ struct RunManifest
     std::uint64_t seed = 0;
     unsigned jobsRequested = 0;
     unsigned jobsEffective = 1;
-    /** Candidates discarded by the static pruner (both compiles).
+    /** Candidates discarded by the static pruner (counted per set).
      * Deterministic: a pure function of program + config, never of
      * scheduling — rendered inside the determinism-witness prefix. */
     std::uint64_t prunedCandidates = 0;
@@ -71,10 +71,11 @@ struct RunManifest
      * complement of cacheHits; 0 when no cache is configured). */
     unsigned cacheMisses = 0;
     PhaseTimes phases;
-    /** Per-pass wall-clock breakdown of compileSec (both compiles,
-     * summed by pass name in first-appearance order; filled from the
-     * compiler's span laps, gap-free so the entries sum to compileSec
-     * within timer noise). Empty when every compile was a cache hit. */
+    /** Per-pass wall-clock breakdown of compileSec (both sets, shared
+     * passes counted once, summed by pass name in first-appearance
+     * order; filled from the compiler's span laps, gap-free so the
+     * entries sum to compileSec within timer noise). Empty when every
+     * compile was a cache hit. */
     std::vector<PassTime> passes;
     PoolStats pool;
 };

@@ -199,89 +199,84 @@ ExperimentRunner::prepare(BenchmarkResult &result,
 
     // The artifact cache is opt-in (explicit dir or environment) and
     // content-free: a hit replays the byte-identical binary + stats a
-    // cold compile would produce, so only the wall-clock changes.
+    // cold compile would produce, so only the wall-clock changes. Each
+    // set has its own entry; the sets that miss compile together, from
+    // one profile and one dry run.
     const std::string cache_dir =
         _config.noCache ? std::string() : resolveCacheDir(_config.cacheDir);
-    auto compile_one = [this, &workload, cache_dir](
-                           CompilerConfig cfg, CompileResult &out,
-                           unsigned &cache_hits, unsigned &cache_misses) {
-        if (!cache_dir.empty()) {
-            ArtifactCache cache(cache_dir);
-            std::uint64_t key = ArtifactCache::key(
+    auto compile_sets = [this, &result, &workload, &cache_dir, need_normal,
+                         need_oracle, compiler_config]() {
+        struct Set
+        {
+            bool wanted;
+            CompileResult &out;
+            std::uint64_t key = 0;
+        };
+        Set sets[] = {{need_normal, result.compiled},
+                      {need_oracle, result.oracleCompiled}};
+        std::optional<ArtifactCache> cache;
+        if (!cache_dir.empty())
+            cache.emplace(cache_dir);
+        for (std::size_t i = 0; i < 2; ++i) {
+            if (!sets[i].wanted || !cache)
+                continue;
+            CompilerConfig cfg = compiler_config;
+            cfg.oracleSet = i == 1;
+            sets[i].key = ArtifactCache::key(
                 workload.program, _config.energy, _config.hierarchy, cfg);
-            if (std::optional<CompileResult> hit = cache.load(key)) {
-                out = std::move(*hit);
-                ++cache_hits;
-                return;
+            if (std::optional<CompileResult> hit = cache->load(sets[i].key)) {
+                sets[i].out = std::move(*hit);
+                sets[i].wanted = false;
+                ++result.manifest.cacheHits;
+            } else {
+                ++result.manifest.cacheMisses;
             }
-            ++cache_misses;
-            AmnesicCompiler compiler(energyModel(), _config.hierarchy,
-                                     cfg);
-            out = compiler.compile(workload.program);
-            cache.store(key, out);
-            return;
         }
-        AmnesicCompiler compiler(energyModel(), _config.hierarchy, cfg);
-        out = compiler.compile(workload.program);
+        if (!sets[0].wanted && !sets[1].wanted)
+            return;
+        AmnesicCompiler compiler(energyModel(), _config.hierarchy,
+                                 compiler_config);
+        CompiledSets compiled = compiler.compileSets(
+            workload.program, sets[0].wanted, sets[1].wanted);
+        if (sets[0].wanted)
+            sets[0].out = std::move(compiled.normal);
+        if (sets[1].wanted)
+            sets[1].out = std::move(compiled.oracle);
+        for (const Set &set : sets)
+            if (set.wanted && cache)
+                cache->store(set.key, set.out);
     };
 
-    // Three independent jobs: the classic reference run and the two
-    // compiles (each compile internally replays the program to profile
-    // and dry-run-validate it). Their outputs land in disjoint fields —
-    // including the per-task wall-clocks and cache-hit flags (summed
-    // only after the barrier).
-    double normal_compile_sec = 0.0;
-    double oracle_compile_sec = 0.0;
-    unsigned normal_cache_hits = 0;
-    unsigned oracle_cache_hits = 0;
-    unsigned normal_cache_misses = 0;
-    unsigned oracle_cache_misses = 0;
-    std::vector<std::function<void()>> tasks;
-    tasks.push_back([this, &result, &workload] {
-        ScopedSpan span("classic", workload.name);
-        WallClock::time_point start = WallClock::now();
-        result.classic = runClassic(workload.program);
-        result.manifest.phases.classicSec = secondsSince(start);
-        span.counter("instrs", result.classic.dynInstrs);
-    });
-    if (need_normal)
-        tasks.push_back([&result, compiler_config, &compile_one,
-                         &normal_compile_sec, &normal_cache_hits,
-                         &normal_cache_misses]() {
+    // Two independent jobs: the classic reference run and the compile
+    // (which internally replays the program to profile and
+    // dry-run-validate it). Their outputs land in disjoint fields.
+    std::function<void()> tasks[] = {
+        [this, &result, &workload] {
+            ScopedSpan span("classic", workload.name);
             WallClock::time_point start = WallClock::now();
-            CompilerConfig cfg = compiler_config;
-            cfg.oracleSet = false;
-            compile_one(cfg, result.compiled, normal_cache_hits,
-                        normal_cache_misses);
-            normal_compile_sec = secondsSince(start);
-        });
-    if (need_oracle)
-        tasks.push_back([&result, compiler_config, &compile_one,
-                         &oracle_compile_sec, &oracle_cache_hits,
-                         &oracle_cache_misses]() {
+            result.classic = runClassic(workload.program);
+            result.manifest.phases.classicSec = secondsSince(start);
+            span.counter("instrs", result.classic.dynInstrs);
+        },
+        [&result, &compile_sets] {
             WallClock::time_point start = WallClock::now();
-            CompilerConfig cfg = compiler_config;
-            cfg.oracleSet = true;
-            compile_one(cfg, result.oracleCompiled, oracle_cache_hits,
-                        oracle_cache_misses);
-            oracle_compile_sec = secondsSince(start);
-        });
-    parallelFor(pool, tasks.size(),
+            compile_sets();
+            result.manifest.phases.compileSec = secondsSince(start);
+        }};
+    parallelFor(pool, std::size(tasks),
                 [&tasks](std::size_t i) { tasks[i](); });
-    result.manifest.phases.compileSec =
-        normal_compile_sec + oracle_compile_sec;
+    // Each shared lap and profileSec sits in one set only, so these
+    // sums count every lap once.
     result.manifest.phases.analysisSec =
         result.compiled.analysisSec + result.oracleCompiled.analysisSec;
     result.manifest.phases.profileSec =
         result.compiled.profileSec + result.oracleCompiled.profileSec;
-    result.manifest.cacheHits = normal_cache_hits + oracle_cache_hits;
-    result.manifest.cacheMisses = normal_cache_misses + oracle_cache_misses;
 
-    // Per-pass breakdown of compileSec: the two compiles' gap-free lap
-    // tables, summed by pass name in first-appearance order. A cache
-    // hit contributes nothing (its passTimes are empty — no passes
-    // ran), so the table keeps summing to compileSec within timer
-    // noise either way.
+    // Per-pass breakdown of compileSec: the sets' gap-free lap tables,
+    // summed by pass name in first-appearance order. A cache hit
+    // contributes nothing (its passTimes are empty — no passes ran),
+    // so the table keeps summing to compileSec within timer noise
+    // either way.
     auto merge_passes = [&result](const std::vector<PassTime> &laps) {
         for (const PassTime &lap : laps) {
             auto it = std::find_if(result.manifest.passes.begin(),

@@ -221,23 +221,19 @@ runDifferential(const GenCase &test_case, AmnesicTraceHooks *trace)
     Workload workload = buildWorkload(test_case.spec);
     EnergyModel energy(test_case.energy);
 
-    // Compile the probabilistic slice set; the oracle set only when a
-    // requested policy needs it (it doubles the profiling cost).
-    AmnesicCompiler compiler(energy, test_case.hierarchy,
-                             test_case.compiler);
-    CompileResult prob = compiler.compile(workload.program);
-    report.selectedSlices = prob.slices.size();
-
+    // The probabilistic slice set always (its binary is linted below);
+    // the oracle set too when a requested policy needs it. Both come
+    // from one profile and one dry run.
     bool want_oracle = false;
     for (Policy p : test_case.policies)
         want_oracle = want_oracle || needsOracleSet(p);
-    CompileResult oracle;
-    if (want_oracle) {
-        CompilerConfig oc = test_case.compiler;
-        oc.oracleSet = true;
-        oracle = AmnesicCompiler(energy, test_case.hierarchy, oc)
-                     .compile(workload.program);
-    }
+    AmnesicCompiler compiler(energy, test_case.hierarchy,
+                             test_case.compiler);
+    CompiledSets sets =
+        compiler.compileSets(workload.program, true, want_oracle);
+    const CompileResult &prob = sets.normal;
+    const CompileResult &oracle = sets.oracle;
+    report.selectedSlices = prob.slices.size();
 
     // The compiler's own gate aborts on Error findings; re-running the
     // analyzer here additionally counts the surviving severities against

@@ -147,6 +147,18 @@ expect_exit(2 "perf_interp '--repeats' (missing value)"
 expect_exit(2 "perf_timing '--repeats' (missing value)"
             "${PERF_TIMING}" --quick --repeats)
 
+# A valueless flag given an inline value: the value must not be dropped
+# silently, whether the reader moves on to another flag or finishes.
+expect_exit(2 "amnesiac-run '--csv=no'" "${RUN}" --csv=no --list)
+expect_exit(2 "amnesiac-run '--no-cache=1'" "${RUN}" --no-cache=1 --list)
+expect_exit(2 "amnesiac-run '--prof=0'" "${RUN}" --prof=0 --list)
+expect_exit(2 "amnesiac-lint '--quiet=0'"
+            "${LINT}" --quiet=0 --list-passes)
+expect_exit(2 "amnesiac-lint '--Werror=no'"
+            "${LINT}" --Werror=no --list-passes)
+expect_exit(2 "amnesiac-fuzz '--quiet=1' (last flag)"
+            "${FUZZ}" --runs 0 --out "${OUT}/fuzz-out" --quiet=1)
+
 # Controls: well-formed values parse and the run stops before any
 # simulation (--list, --list-passes, zero fuzz runs). The perf harnesses
 # have no such early exit; CI's perf-smoke job runs them with valid

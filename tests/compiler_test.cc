@@ -14,6 +14,8 @@
 #include "isa/program_builder.h"
 #include "isa/serialize.h"
 #include "isa/verifier.h"
+#include "testing/generator.h"
+#include "workloads/kernels.h"
 
 namespace amnesiac {
 namespace {
@@ -198,6 +200,86 @@ TEST(Compiler, StaticPruneIsConservative)
     EXPECT_EQ(unpruned.stats.prunedProductions, 0u);
     // The analysis pass reports its own wall clock.
     EXPECT_GT(pruned.analysisSec, 0.0);
+}
+
+/** Every CompileStats field, in declaration order. */
+std::vector<std::uint64_t>
+statsFields(const CompileStats &s)
+{
+    return {s.sitesSeen,       s.rejectedCold,     s.rejectedUnstable,
+            s.rejectedNoSlice, s.rejectedEnergy,   s.rejectedMatch,
+            s.selected,        s.recInsertions,    s.coveredDynLoads,
+            s.totalDynLoads,   s.analysisWarnings, s.analysisNotes,
+            s.prunedSites,     s.prunedProductions};
+}
+
+/** Same binary, stats and selected slices (with their annotations). */
+void
+expectSameSet(const CompileResult &shared, const CompileResult &alone)
+{
+    EXPECT_EQ(serializeProgram(shared.program),
+              serializeProgram(alone.program));
+    EXPECT_EQ(statsFields(shared.stats), statsFields(alone.stats));
+    ASSERT_EQ(shared.slices.size(), alone.slices.size());
+    for (std::size_t i = 0; i < shared.slices.size(); ++i) {
+        const RSlice &a = shared.slices[i];
+        const RSlice &b = alone.slices[i];
+        EXPECT_EQ(a.loadPc, b.loadPc);
+        EXPECT_EQ(a.ercEstimate, b.ercEstimate);
+        EXPECT_EQ(a.eldEstimate, b.eldEstimate);
+        EXPECT_EQ(a.profCount, b.profCount);
+        EXPECT_EQ(a.profResidence, b.profResidence);
+        EXPECT_EQ(a.valueLocalityPct, b.valueLocalityPct);
+        EXPECT_EQ(a.dryRunMatchRate, b.dryRunMatchRate);
+        ASSERT_EQ(a.instrs.size(), b.instrs.size());
+        for (std::size_t j = 0; j < a.instrs.size(); ++j)
+            EXPECT_EQ(a.instrs[j].origPc, b.instrs[j].origPc);
+    }
+}
+
+TEST(Compiler, SharedCompileMatchesSeparateCompilesUnderFuzzedConfigs)
+{
+    // compileSets() builds both slice sets from one prune, one profile
+    // and one dry run. Each set must equal what a compile() of that set
+    // alone builds, also under fuzzed (never default) margins, where
+    // the two sets' filters part ways.
+    std::uint64_t selected[2] = {0, 0};
+    for (std::uint64_t index = 0; index < 6; ++index) {
+        GenCase test_case = generateCase(15, index);
+        SCOPED_TRACE(test_case.label());
+        const CompilerConfig &config = test_case.compiler;
+        ASSERT_NE(config.builder.budgetMargin, 1.0);
+        ASSERT_NE(config.profitabilityMargin, 1.0);
+        Program input = buildWorkload(test_case.spec).program;
+        EnergyModel energy(test_case.energy);
+
+        CompiledSets both = AmnesicCompiler(energy, test_case.hierarchy,
+                                            config)
+                                .compileSets(input, true, true);
+        CompilerConfig normal_config = config;
+        normal_config.oracleSet = false;
+        CompilerConfig oracle_config = config;
+        oracle_config.oracleSet = true;
+        CompileResult normal =
+            AmnesicCompiler(energy, test_case.hierarchy, normal_config)
+                .compile(input);
+        CompileResult oracle =
+            AmnesicCompiler(energy, test_case.hierarchy, oracle_config)
+                .compile(input);
+        {
+            SCOPED_TRACE("normal set");
+            expectSameSet(both.normal, normal);
+        }
+        {
+            SCOPED_TRACE("oracle set");
+            expectSameSet(both.oracle, oracle);
+        }
+        selected[0] += normal.stats.selected;
+        selected[1] += oracle.stats.selected;
+    }
+    // The comparison covers real slices in both sets.
+    EXPECT_GT(selected[0], 0u);
+    EXPECT_GT(selected[1], 0u);
 }
 
 TEST(Compiler, BranchTargetsSurviveRewriting)

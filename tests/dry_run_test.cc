@@ -23,7 +23,7 @@ validate(const Program &program, const RSlice &slice)
     Machine m(program, EnergyModel{});
     m.setObserver(&validator);
     m.run();
-    return validator.result(slice.loadPc);
+    return validator.result(0);
 }
 
 /** v = x + x with x Live: always reproducible. */
@@ -178,6 +178,74 @@ TEST(DryRun, CountsHistMisses)
     DryRunSiteResult result = validate(p, slice);
     EXPECT_EQ(result.histMisses, 1u);
     EXPECT_EQ(result.matched, 0u);
+}
+
+/** One replay validates several slice sets at once, so one load pc may
+ * carry several candidates: each gets its own shadow Hist and result,
+ * and a Hist miss in one does not cut the others short. */
+TEST(DryRun, ValidatesEveryCandidateAtOneLoad)
+{
+    ProgramBuilder b("two-sets");
+    std::uint64_t a = b.allocWords(1);
+    b.li(1, a);
+    b.li(6, 0);
+    b.li(7, 1);
+    b.li(8, 10);
+    auto top = b.newLabel();
+    b.bind(top);
+    b.alu(Opcode::Add, 2, 6, 7);           // x varies per iteration
+    std::uint32_t mul_pc = b.alu(Opcode::Mul, 3, 2, 2);
+    b.st(1, 0, 3);
+    b.li(2, 0);                            // clobber x
+    std::uint32_t load_pc = b.ld(4, 1);
+    b.alu(Opcode::Add, 6, 6, 7);
+    b.blt(6, 8, top);
+    b.halt();
+    Program p = b.finish();
+
+    auto mul_slice = [&](OperandSource source, std::uint32_t orig_pc) {
+        RSlice slice;
+        slice.loadPc = load_pc;
+        SliceInstr root;
+        root.op = Opcode::Mul;
+        root.origPc = orig_pc;
+        root.rd = 3;
+        root.numOps = 2;
+        root.ops[0] = {source, 2, -1};
+        root.ops[1] = {source, 2, -1};
+        slice.instrs.push_back(root);
+        slice.computeStats();
+        return slice;
+    };
+    // Never checkpointed (its capture pc never runs), then the correct
+    // Hist slice, then a Live slice that reads the clobbered x.
+    std::vector<RSlice> candidates{mul_slice(OperandSource::Hist, 999),
+                                   mul_slice(OperandSource::Hist, mul_pc),
+                                   mul_slice(OperandSource::Live, mul_pc)};
+    DryRunValidator validator(candidates);
+    Machine m(p, EnergyModel{});
+    m.setObserver(&validator);
+    m.run();
+
+    const DryRunSiteResult &missed = validator.result(0);
+    EXPECT_EQ(missed.evaluated, 10u);
+    EXPECT_EQ(missed.histMisses, 10u);
+    EXPECT_EQ(missed.matched, 0u);
+    const DryRunSiteResult &fresh = validator.result(1);
+    EXPECT_EQ(fresh.evaluated, 10u);
+    EXPECT_EQ(fresh.histMisses, 0u);
+    EXPECT_EQ(fresh.matched, 10u);
+    const DryRunSiteResult &clobbered = validator.result(2);
+    EXPECT_EQ(clobbered.evaluated, 10u);
+    EXPECT_EQ(clobbered.matched, 0u);
+
+    // Each candidate fares exactly as it does when validated alone.
+    for (std::size_t c = 0; c < candidates.size(); ++c) {
+        DryRunSiteResult alone = validate(p, candidates[c]);
+        EXPECT_EQ(alone.evaluated, validator.result(c).evaluated);
+        EXPECT_EQ(alone.matched, validator.result(c).matched);
+        EXPECT_EQ(alone.histMisses, validator.result(c).histMisses);
+    }
 }
 
 }  // namespace

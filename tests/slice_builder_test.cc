@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "core/cost_model.h"
 #include "core/slice_builder.h"
+#include "core/store_elimination.h"
 #include "isa/program_builder.h"
 
 namespace amnesiac {
@@ -20,6 +24,17 @@ energy()
     static const EnergyModel model;
     return model;
 }
+
+// The same holds for CostModel and StoreProfiler: binding any of the
+// three to a temporary EnergyModel must not compile.
+static_assert(std::is_constructible_v<SliceBuilder, const EnergyModel &,
+                                      const SliceBuilderConfig &>);
+static_assert(!std::is_constructible_v<SliceBuilder, EnergyModel,
+                                       const SliceBuilderConfig &>);
+static_assert(std::is_constructible_v<CostModel, const EnergyModel &>);
+static_assert(!std::is_constructible_v<CostModel, EnergyModel>);
+static_assert(std::is_constructible_v<StoreProfiler, const EnergyModel &>);
+static_assert(!std::is_constructible_v<StoreProfiler, EnergyModel>);
 
 struct Profiled
 {

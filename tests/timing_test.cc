@@ -31,6 +31,7 @@
 
 #include "core/amnesic_machine.h"
 #include "core/compiler.h"
+#include "isa/serialize.h"
 #include "report/experiment.h"
 #include "report/obs_export.h"
 #include "sim/machine.h"
@@ -229,32 +230,74 @@ appendStats(std::string &out, const SimStats &s)
     out += buf;
 }
 
+/** FNV-1a over a compile's serialized .amnb, then every CompileStats
+ * field in declaration order. */
+std::uint64_t
+compileDigest(const CompileResult &compiled)
+{
+    const std::vector<std::uint8_t> amnb =
+        serializeProgram(compiled.program);
+    std::string blob(amnb.begin(), amnb.end());
+    const CompileStats &s = compiled.stats;
+    for (std::uint64_t field :
+         {s.sitesSeen, s.rejectedCold, s.rejectedUnstable,
+          s.rejectedNoSlice, s.rejectedEnergy, s.rejectedMatch,
+          s.selected, s.recInsertions, s.coveredDynLoads,
+          s.totalDynLoads, s.analysisWarnings, s.analysisNotes,
+          s.prunedSites, s.prunedProductions}) {
+        blob += std::to_string(field);
+        blob += ';';
+    }
+    return fnv1a(blob);
+}
+
 // Captured at the default ExperimentConfig, seed 1, from the build
 // immediately before the TimingModel extraction: FNV-1a over the
 // appendStats() rendering of (classic, then each of the six policies
 // in kSixPolicies order) per workload. Any drift in any counter or
 // energy double of the scalar backend lands here.
+//
+// `compiled` and `oracle` pin the two CompileResults of the same run:
+// compileDigest() of the Compiler set and of the Oracle set, captured
+// from the build that still compiled each set with its own profile and
+// dry-run replays.
 struct GoldenDigest
 {
     const char *workload;
     std::uint64_t digest;
+    std::uint64_t compiled;
+    std::uint64_t oracle;
 };
 
 constexpr GoldenDigest kScalarGolden[] = {
-    {"mcf", 0xef5619c68858aaffull},
-    {"sx", 0x3b5049a002bcc114ull},
-    {"cg", 0x2fec1d3249f6eb91ull},
-    {"is", 0x31f2998686dbffbaull},
-    {"ca", 0x7e36f71dafcd77cbull},
-    {"fs", 0xbdbe07bfdea7084aull},
-    {"fe", 0xd0fe292f9ec6cbf1ull},
-    {"rt", 0xde693c8881915de9ull},
-    {"bp", 0x059ae8ee34601525ull},
-    {"bfs", 0x34f264cf091a777full},
-    {"sr", 0x6b4cff803f23be86ull},
-    {"stream-recompute", 0x741fc16565b663e9ull},
-    {"hist-stress", 0xb49193fc01484638ull},
-    {"compute-bound", 0xa4be35625424368full},
+    {"mcf", 0xef5619c68858aaffull,
+     0x458c03b149af5d5aull, 0x458c03b149af5d5aull},
+    {"sx", 0x3b5049a002bcc114ull,
+     0xb24b5f159dcf0b08ull, 0xbf33d23a2493d98bull},
+    {"cg", 0x2fec1d3249f6eb91ull,
+     0x7c9540bef79f0c06ull, 0x71c3ee62fb1f5f65ull},
+    {"is", 0x31f2998686dbffbaull,
+     0x77af6e8cfcdde8e7ull, 0x77af6e8cfcdde8e7ull},
+    {"ca", 0x7e36f71dafcd77cbull,
+     0x8c7074781f3111c2ull, 0x8c7074781f3111c2ull},
+    {"fs", 0xbdbe07bfdea7084aull,
+     0x02b9db532613185full, 0xecd985427d6b0cabull},
+    {"fe", 0xd0fe292f9ec6cbf1ull,
+     0x68847eed2fab478cull, 0x7690a5f6a6b5943cull},
+    {"rt", 0xde693c8881915de9ull,
+     0x8972707adbde9d2aull, 0x8972707adbde9d2aull},
+    {"bp", 0x059ae8ee34601525ull,
+     0x6eab5696c62d7a0eull, 0x6eab5696c62d7a0eull},
+    {"bfs", 0x34f264cf091a777full,
+     0x1ec68586fd0a0128ull, 0x1ec68586fd0a0128ull},
+    {"sr", 0x6b4cff803f23be86ull,
+     0xee9ab63248ae6349ull, 0xee9ab63248ae6349ull},
+    {"stream-recompute", 0x741fc16565b663e9ull,
+     0x68158d4aa3b4ffa3ull, 0x68158d4aa3b4ffa3ull},
+    {"hist-stress", 0xb49193fc01484638ull,
+     0xd3fe20351aae9886ull, 0xd3fe20351aae9886ull},
+    {"compute-bound", 0xa4be35625424368full,
+     0xf0fac8b2955e4b2aull, 0xcb171b330213d985ull},
 };
 
 TEST(TimingTest, ScalarBackendMatchesPreRefactorGoldenDigests)
@@ -272,6 +315,8 @@ TEST(TimingTest, ScalarBackendMatchesPreRefactorGoldenDigests)
         for (const PolicyOutcome &outcome : result.policies)
             appendStats(blob, outcome.stats);
         EXPECT_EQ(fnv1a(blob), golden.digest);
+        EXPECT_EQ(compileDigest(result.compiled), golden.compiled);
+        EXPECT_EQ(compileDigest(result.oracleCompiled), golden.oracle);
     }
 }
 
